@@ -1,7 +1,7 @@
 //! Hop-Window Mining Tree (§4.3, Algorithm 2).
 
 use crate::benchpoints::{hop_window, hwmt_order};
-use crate::{recluster_at_with, ProbeScratch};
+use crate::ProbeScratch;
 use k2_cluster::DbscanParams;
 use k2_model::{Convoy, ObjectSet, Time, TimeInterval};
 use k2_storage::{SnapshotSource, StoreResult};
@@ -62,6 +62,9 @@ pub fn mine_window_ordered<S: SnapshotSource + ?Sized>(
 /// [`mine_window_ordered`] reusing a caller-provided probe scratch — the
 /// pipeline passes one scratch (buffers + set-interning pool) across all
 /// its hop-windows so the steady state of the probe loop never allocates.
+/// Each probed timestamp costs one store call for the union of the
+/// surviving candidates; `points_fetched` still counts each candidate's
+/// own restriction, so the Table 5 counters match per-candidate probing.
 /// The candidate reclusters inside each probe filter distances through
 /// the chunked kernel (`k2_cluster::dist2_filter_chunked`), the same
 /// four-lane path the benchmark clustering uses.
@@ -87,9 +90,14 @@ pub(crate) fn mine_window_scratched<S: SnapshotSource + ?Sized>(
     if let Some(window) = hop_window(b_left, b_right) {
         for t in order(window) {
             result.timestamps_probed += 1;
+            // One store call per probed timestamp: fetch `DB[t]|∪survivors`
+            // once, then restrict it to each candidate — the same
+            // restriction the slab path uses, so each candidate sees
+            // exactly what its own `DB[t]|O` probe would return.
+            scratch.fetch_union(store, t, &survivors)?;
             let mut next = Vec::with_capacity(survivors.len());
             for candidate in &survivors {
-                let (clusters, fetched) = recluster_at_with(store, params, t, candidate, scratch)?;
+                let (clusters, fetched) = scratch.recluster_from_union(params, candidate);
                 result.points_fetched += fetched;
                 next.extend(clusters);
             }
@@ -336,6 +344,83 @@ mod tests {
         assert!(linear.spanning.is_empty());
         assert_eq!(binary.timestamps_probed, 1, "root probe kills it");
         assert_eq!(linear.timestamps_probed, 8, "linear walks to the break");
+    }
+
+    /// Algorithm 2 with one store probe per candidate per timestamp —
+    /// the reference the union fetch must reproduce.
+    fn per_candidate_probing(
+        store: &InMemoryStore,
+        params: DbscanParams,
+        b_left: Time,
+        b_right: Time,
+        cc: &[ObjectSet],
+    ) -> (Vec<ObjectSet>, u64, u32) {
+        let mut scratch = ProbeScratch::default();
+        let (mut survivors, mut fetched, mut probed) = (cc.to_vec(), 0u64, 0u32);
+        for t in hwmt_order(hop_window(b_left, b_right).unwrap()) {
+            probed += 1;
+            let mut next = Vec::new();
+            for candidate in &survivors {
+                let (clusters, n) =
+                    crate::recluster_at_with(store, params, t, candidate, &mut scratch).unwrap();
+                fetched += n;
+                next.extend(clusters);
+            }
+            if next.is_empty() {
+                return (Vec::new(), fetched, probed);
+            }
+            survivors = next;
+        }
+        (survivors, fetched, probed)
+    }
+
+    #[test]
+    fn union_fetch_equals_per_candidate_probing() {
+        // Four disjoint candidates over a 17-timestamp window: one stays
+        // together, one scatters at t = 5, one splits into two pairs for
+        // the whole window, and one loses a member (absent from the store)
+        // at odd timestamps but keeps three close together.
+        let mut pts = Vec::new();
+        for t in 0..=16u32 {
+            let y = t as f64;
+            for oid in 0..3u32 {
+                pts.push(Point::new(oid, oid as f64 * 0.4, y, t));
+            }
+            for oid in 10..13u32 {
+                let spread = if t == 5 { 80.0 } else { 0.4 };
+                pts.push(Point::new(oid, 200.0 + oid as f64 * spread, y, t));
+            }
+            for oid in 20..24u32 {
+                let gap = if (1..16).contains(&t) && oid >= 22 {
+                    50.0
+                } else {
+                    0.0
+                };
+                pts.push(Point::new(oid, 400.0 + gap + oid as f64 * 0.4, y, t));
+            }
+            for oid in 30..34u32 {
+                if oid == 33 && t % 2 == 1 {
+                    continue;
+                }
+                pts.push(Point::new(oid, 600.0 + oid as f64 * 0.4, y, t));
+            }
+        }
+        let store = InMemoryStore::new(Dataset::from_points(&pts).unwrap());
+        let cc = vec![
+            ObjectSet::from([0, 1, 2]),
+            ObjectSet::from([10, 11, 12]),
+            ObjectSet::from([20, 21, 22, 23]),
+            ObjectSet::from([30, 31, 32, 33]),
+        ];
+        for params in [DbscanParams::new(2, 1.0), DbscanParams::new(3, 1.0)] {
+            let res = mine_window(&store, params, 0, 16, &cc).unwrap();
+            let (spanning, fetched, probed) = per_candidate_probing(&store, params, 0, 16, &cc);
+            let got: Vec<ObjectSet> = res.spanning.iter().map(|c| c.objects.clone()).collect();
+            assert_eq!(got, spanning, "{params:?}");
+            assert!(!got.is_empty(), "{params:?}");
+            assert_eq!(res.points_fetched, fetched, "{params:?}");
+            assert_eq!(res.timestamps_probed, probed, "{params:?}");
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use pipeline::{K2Hop, MiningResult};
 pub use stats::{GridStats, PhaseTimings, PrefetchStats, PruningStats};
 
 use k2_cluster::{recluster_with, DbscanParams, GridScratch};
-use k2_model::{ObjPos, ObjectSet, Time};
+use k2_model::{restrict_sorted_ids_into, ObjPos, ObjectSet, Oid, Time};
 use k2_storage::{SnapshotSource, StoreResult};
 
 /// Reusable working memory for one `reCluster` probe loop: the fetched
@@ -77,10 +77,49 @@ use k2_storage::{SnapshotSource, StoreResult};
 /// Every probe loop (HWMT, extension, validation) creates one of these
 /// per task and reuses it across all its probes, so the steady state of
 /// the hottest code in the system performs no heap allocation.
+///
+/// HWMT also keeps the sorted id union of a window's surviving
+/// candidates and the positions fetched for it, which each candidate's
+/// probe restricts instead of calling the store again.
 #[derive(Debug, Default)]
 pub(crate) struct ProbeScratch {
     positions: Vec<ObjPos>,
     cluster: GridScratch,
+    union_ids: Vec<Oid>,
+    union_positions: Vec<ObjPos>,
+}
+
+impl ProbeScratch {
+    /// Fetches `DB[t]|∪sets` (one store call) for
+    /// [`recluster_from_union`](Self::recluster_from_union).
+    fn fetch_union<S: SnapshotSource + ?Sized>(
+        &mut self,
+        store: &S,
+        t: Time,
+        sets: &[ObjectSet],
+    ) -> StoreResult<()> {
+        self.union_ids.clear();
+        for set in sets {
+            self.union_ids.extend_from_slice(set.ids());
+        }
+        self.union_ids.sort_unstable();
+        self.union_ids.dedup();
+        store.multi_get_into(t, &self.union_ids, &mut self.union_positions)
+    }
+
+    /// [`recluster_at_with`] for a subset of the last
+    /// [`fetch_union`](Self::fetch_union), restricting the fetched
+    /// positions instead of probing the store.
+    fn recluster_from_union(
+        &mut self,
+        params: DbscanParams,
+        objects: &ObjectSet,
+    ) -> (Vec<ObjectSet>, u64) {
+        self.positions.clear();
+        restrict_sorted_ids_into(&self.union_positions, objects.ids(), &mut self.positions);
+        let clusters = recluster_with(&self.positions, params, &mut self.cluster);
+        (clusters, self.positions.len() as u64)
+    }
 }
 
 /// Re-clusters the objects of a candidate at timestamp `t` — the paper's

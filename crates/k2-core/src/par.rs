@@ -1,12 +1,12 @@
-//! Self-scheduled, order-preserving parallel map — the work engine shared
-//! by the sequential miner's benchmark-clustering phase and every phase of
-//! [`K2HopParallel`](crate::K2HopParallel) — plus the batched, zero-copy
-//! benchmark-snapshot fetcher both miners cluster through.
+//! Self-scheduled, order-preserving parallel map — the work engine of
+//! [`K2HopParallel`](crate::K2HopParallel)'s per-window phases — plus the
+//! streamed, zero-copy benchmark-clustering phase both miners run.
 
 use k2_cluster::{dbscan_with, DbscanParams, GridCounters, GridScratch};
 use k2_model::{ObjPos, ObjectSet, Time};
 use k2_storage::{SnapshotRef, StoreResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 
 /// What the benchmark-clustering phase hands back to the miners: the
@@ -107,36 +107,34 @@ pub(crate) fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usi
 /// `fetch` resolves one benchmark timestamp to a [`SnapshotRef`], filling
 /// the passed buffer only when the engine cannot share its storage (see
 /// `TrajectoryStore::scan_snapshot_ref`). Fetching stays on the calling
-/// thread (store I/O and its statistics are single-threaded, so stores
-/// need not be `Sync`); clustering fans out over `threads` workers off an
-/// atomic counter, one [`GridScratch`] per worker.
+/// thread, in ascending time order (store I/O and its statistics are
+/// single-threaded, so stores need not be `Sync`, and a sequential engine
+/// such as the flat file never rewinds).
 ///
-/// The parallel work unit is a contiguous **run** of benchmark snapshots,
-/// not a single snapshot: consecutive benchmark points are adjacent in
-/// time, so a worker that clusters its run in order lets its scratch's
-/// [`GridState`](k2_cluster::GridState) *patch* the grid from one
-/// snapshot to the next instead of rebuilding it (the same contiguous
-/// split as the store path's temporal shards). Output is identical either
-/// way — DBSCAN depends only on the exact neighbour sets, which both the
-/// patched and the rebuilt grid answer — so the thread-count invariance
-/// the goldens pin is untouched.
+/// With more than one thread, the benchmark list is cut into one
+/// contiguous **run** per worker, and the workers are spawned once for
+/// the whole phase. Each worker clusters its run in time order with one
+/// [`GridScratch`], so its [`GridState`](k2_cluster::GridState)
+/// *patches* the grid from one snapshot to the next across the entire
+/// run instead of rebuilding it. The calling thread streams snapshots to
+/// the workers while they cluster, so fetching overlaps clustering:
 ///
-/// Two regimes, switched on what the engine actually returns:
+/// * **Resident engines** ([`SnapshotRef::Shared`]) hand over an O(1)
+///   `Arc` clone — no benchmark snapshot is ever copied.
+/// * **Materialising engines** ([`SnapshotRef::Buffered`]) decode into
+///   a ring of at most `threads × 8` recycled buffers: a worker sends
+///   each buffer back once it has clustered it, and the fetcher waits
+///   for a returned buffer when the ring is out, so peak memory stays
+///   O(ring × population) however long the benchmark list is.
 ///
-/// * **Resident engines** ([`SnapshotRef::Shared`]): each ref is an O(1)
-///   `Arc` clone with no memory-bounding reason to batch, so the Arcs are
-///   collected up front and the whole benchmark list fans out in a
-///   *single* map — no per-batch synchronization barrier, one scratch
-///   per worker for the entire phase, and *no benchmark snapshot is ever
-///   cloned*.
-/// * **Materialising engines** ([`SnapshotRef::Buffered`]): records are
-///   decoded into a bounded ring of reused buffers and fanned out batch
-///   by batch, keeping peak memory at O(batch × population) instead of
-///   holding every benchmark snapshot of a disk-backed dataset at once.
+/// Output is identical at every thread count — DBSCAN depends only on
+/// the exact neighbour sets, which the patched and the rebuilt grid both
+/// answer — so the thread-count invariance the goldens pin is untouched.
+/// A fetch error stops the stream: the workers drain what they were
+/// sent, are joined, and the error is returned.
 ///
-/// Returns a [`BenchClusters`]: cluster sets in `bench` order (clustering
-/// is deterministic, so the result is identical at every thread count),
-/// points scanned, and the phase's grid-reuse counters.
+/// Returns a [`BenchClusters`]: cluster sets in `bench` order, points
+/// scanned, and the phase's grid-reuse counters.
 pub(crate) fn cluster_benchmark_snapshots<F>(
     threads: usize,
     bench: &[Time],
@@ -146,15 +144,15 @@ pub(crate) fn cluster_benchmark_snapshots<F>(
 where
     F: for<'a> FnMut(Time, &'a mut Vec<ObjPos>) -> StoreResult<SnapshotRef<'a>>,
 {
-    let mut points = 0u64;
-    let mut grid = GridCounters::default();
-    let mut clusters = Vec::with_capacity(bench.len());
-    if threads <= 1 {
+    let runs = shard_ranges(bench.len(), threads);
+    if runs.len() <= 1 {
         // Sequential: cluster each snapshot while it is still hot in
         // cache, reusing one scratch and one scan buffer across all —
         // one long run, so every adjacent pair is a patch candidate.
         let mut scratch = GridScratch::new();
         let mut buf = Vec::new();
+        let mut points = 0u64;
+        let mut clusters = Vec::with_capacity(bench.len());
         for &b in bench {
             let snapshot = fetch(b, &mut buf)?;
             points += snapshot.len() as u64;
@@ -167,109 +165,123 @@ where
         });
     }
 
-    // Shared prefix: take ownership of the Arcs immediately, releasing
-    // the probe buffer between fetches. Engines are in practice all-
-    // Shared or all-Buffered, so for resident stores this loop covers
-    // the whole list; a mixed engine just switches paths mid-stream.
-    let mut shared: Vec<Arc<[ObjPos]>> = Vec::new();
-    let mut probe_buf: Vec<ObjPos> = Vec::new();
-    let mut rest: &[Time] = bench;
-    let mut carry = false;
-    while let Some((&b, tail)) = rest.split_first() {
-        match fetch(b, &mut probe_buf)? {
-            SnapshotRef::Shared(arc) => {
-                points += arc.len() as u64;
-                shared.push(arc);
-                rest = tail;
-            }
-            // An absent timestamp borrows nothing from the buffer and has
-            // nothing to cluster; it does not force the buffered path.
-            SnapshotRef::Buffered([]) => {
-                shared.push(Arc::from(&[][..]));
-                rest = tail;
-            }
-            SnapshotRef::Buffered(_) => {
-                // The records are in `probe_buf` (the contract of
-                // `Buffered`); hand them to the ring below unscanned
-                // rather than paying the engine for a refetch.
-                carry = true;
-                break;
-            }
+    let ring = threads * 8;
+    std::thread::scope(|scope| {
+        // Buffers come back on `free`; its capacity covers the whole
+        // ring plus one panic signal per worker, so a send never blocks.
+        let (free_tx, free_rx) = sync_channel::<Option<Vec<ObjPos>>>(ring + runs.len());
+        let mut feeds = Vec::with_capacity(runs.len());
+        let mut workers = Vec::with_capacity(runs.len());
+        for run in &runs {
+            // A feed holds at most its run, so the fetcher never waits on
+            // a worker's queue; the buffer ring is what bounds memory.
+            let (feed_tx, feed_rx) = sync_channel::<Fetched>(run.len());
+            feeds.push(feed_tx);
+            let free = PanicSignal(free_tx.clone());
+            workers.push(scope.spawn(move || {
+                let mut scratch = GridScratch::new();
+                let mut clusters = Vec::new();
+                for snapshot in feed_rx {
+                    clusters.push(dbscan_with(snapshot.positions(), params, &mut scratch));
+                    if let Fetched::Buffer(buf) = snapshot {
+                        let _ = free.0.send(Some(buf));
+                    }
+                }
+                (clusters, scratch.grid_counters())
+            }));
         }
-    }
-    // Fan out contiguous runs (one per worker): each worker walks its
-    // run in time order, patching its grid between adjacent snapshots.
-    let runs = shard_ranges(shared.len(), threads);
-    for (run_clusters, delta) in self_scheduled_map(
-        threads,
-        &runs,
-        GridScratch::new,
-        |scratch, range: &std::ops::Range<usize>| {
-            // A worker can claim several runs; the per-run delta keeps the
-            // harvest correct regardless of which worker ran what.
-            let before = scratch.grid_counters();
-            let out: Vec<Vec<ObjectSet>> = shared[range.clone()]
-                .iter()
-                .map(|snapshot| dbscan_with(snapshot, params, scratch))
-                .collect();
-            (out, scratch.grid_counters().since(before))
-        },
-    ) {
-        clusters.extend(run_clusters);
-        grid.add(delta);
-    }
-    if rest.is_empty() {
-        return Ok(BenchClusters {
+        drop(free_tx);
+
+        let mut points = 0u64;
+        let mut made = 0usize;
+        let mut spare: Option<Vec<ObjPos>> = None;
+        let mut stream = || -> StoreResult<()> {
+            for (run, feed) in runs.iter().zip(&feeds) {
+                for &b in &bench[run.clone()] {
+                    let mut buf = match spare.take() {
+                        Some(buf) => buf,
+                        None if made < ring => {
+                            made += 1;
+                            Vec::new()
+                        }
+                        None => match free_rx.recv() {
+                            Ok(Some(buf)) => buf,
+                            // A worker died: stop feeding; its panic
+                            // resurfaces when it is joined below.
+                            _ => return Ok(()),
+                        },
+                    };
+                    let snapshot = match fetch(b, &mut buf)? {
+                        SnapshotRef::Shared(arc) => {
+                            spare = Some(buf);
+                            Fetched::Shared(arc)
+                        }
+                        SnapshotRef::Buffered(records) => {
+                            // The records are the buffer's contents (the
+                            // `Buffered` contract); an empty view may be a
+                            // static slice, so trim to what it shows.
+                            let len = records.len();
+                            debug_assert!(len == 0 || records.as_ptr() == buf.as_ptr());
+                            buf.truncate(len);
+                            Fetched::Buffer(buf)
+                        }
+                    };
+                    points += snapshot.positions().len() as u64;
+                    if feed.send(snapshot).is_err() {
+                        return Ok(()); // this run's worker died
+                    }
+                }
+            }
+            Ok(())
+        };
+        let streamed = stream();
+        // Closing the feeds lets every worker finish; join them all
+        // before reporting either outcome.
+        drop(feeds);
+        let mut clusters = Vec::with_capacity(bench.len());
+        let mut grid = GridCounters::default();
+        for worker in workers {
+            let (run_clusters, counters) = worker.join().expect("worker panicked");
+            clusters.extend(run_clusters);
+            grid.add(counters);
+        }
+        streamed?;
+        Ok(BenchClusters {
             clusters,
             points,
             grid,
-        });
-    }
-
-    // Buffered remainder: bounded ring of reused buffers.
-    let batch = threads * 8;
-    let mut bufs: Vec<Vec<ObjPos>> = Vec::new();
-    bufs.resize_with(batch.min(rest.len()), Vec::new);
-    if carry {
-        std::mem::swap(&mut bufs[0], &mut probe_buf);
-    }
-    for chunk in rest.chunks(batch) {
-        let mut snapshots: Vec<SnapshotRef> = Vec::with_capacity(chunk.len());
-        for (&b, buf) in chunk.iter().zip(bufs.iter_mut()) {
-            let snapshot = if std::mem::take(&mut carry) {
-                SnapshotRef::Buffered(&buf[..])
-            } else {
-                fetch(b, buf)?
-            };
-            points += snapshot.len() as u64;
-            snapshots.push(snapshot);
-        }
-        // Runs within the ring batch: shorter than the shared path's (the
-        // ring bounds resident memory to O(batch)), but still contiguous,
-        // so adjacent snapshots within a run patch instead of rebuild.
-        let runs = shard_ranges(snapshots.len(), threads);
-        for (run_clusters, delta) in self_scheduled_map(
-            threads,
-            &runs,
-            GridScratch::new,
-            |scratch, range: &std::ops::Range<usize>| {
-                let before = scratch.grid_counters();
-                let out: Vec<Vec<ObjectSet>> = snapshots[range.clone()]
-                    .iter()
-                    .map(|snapshot| dbscan_with(snapshot, params, scratch))
-                    .collect();
-                (out, scratch.grid_counters().since(before))
-            },
-        ) {
-            clusters.extend(run_clusters);
-            grid.add(delta);
-        }
-    }
-    Ok(BenchClusters {
-        clusters,
-        points,
-        grid,
+        })
     })
+}
+
+/// One benchmark snapshot on its way to a clustering worker.
+enum Fetched {
+    /// A resident engine's shared storage.
+    Shared(Arc<[ObjPos]>),
+    /// A ring buffer the engine decoded into; returned after clustering.
+    Buffer(Vec<ObjPos>),
+}
+
+impl Fetched {
+    fn positions(&self) -> &[ObjPos] {
+        match self {
+            Fetched::Shared(arc) => arc,
+            Fetched::Buffer(buf) => buf,
+        }
+    }
+}
+
+/// A worker's handle on the buffer-return channel. If the worker panics,
+/// dropping it sends `None`, which wakes a fetcher waiting for a buffer
+/// the dead worker will never return.
+struct PanicSignal(SyncSender<Option<Vec<ObjPos>>>);
+
+impl Drop for PanicSignal {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.0.try_send(None);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -347,7 +359,7 @@ mod tests {
         // The buffered regime (disk-engine shape: records decoded into
         // the caller's buffer) and a mixed engine (shared prefix, then
         // buffered) must produce identical clusters — including when the
-        // benchmark list spans several ring batches (97 > threads * 8).
+        // benchmark list is longer than the buffer ring (97 > threads * 8).
         let dataset = store.dataset();
         let long_bench: Vec<Time> = (0..30).cycle().take(97).collect();
         let res = cluster_benchmark_snapshots(2, &long_bench, params, |t, buf| {
@@ -381,6 +393,102 @@ mod tests {
             assert_eq!(mixed.clusters, shared_clusters, "switch at {switch_at}");
             assert_eq!(mixed.points, shared_points, "switch at {switch_at}");
             assert_eq!(fetches, long_bench.len(), "no refetch at {switch_at}");
+        }
+    }
+
+    /// A wandering-groups dataset inside a fixed bounding box (two
+    /// anchor objects pin the corners), so the grid geometry never needs
+    /// a retune and every rebuild counted is a run boundary.
+    fn buffered_fixture() -> (k2_model::Dataset, Vec<Time>, DbscanParams) {
+        use k2_model::{Dataset, Point};
+        let mut pts = Vec::new();
+        for t in 0..300u32 {
+            for oid in 0..42u32 {
+                let drift = (t as f64 * 0.7).sin() * 5.0;
+                let (x, y) = match (oid, oid % 4) {
+                    (40, _) => (0.0, 0.0),
+                    (41, _) => (1000.0, 1000.0),
+                    (_, 0 | 1) => (100.0 + t as f64 + drift, 100.0 + (oid / 4) as f64 * 0.4),
+                    (_, 2) => (700.0 - t as f64, 300.0 + oid as f64 * 0.4 + drift),
+                    _ => (
+                        (oid as f64 * 37.0 + t as f64 * (oid % 7) as f64) % 990.0,
+                        900.0,
+                    ),
+                };
+                pts.push(Point::new(oid, x, y, t));
+            }
+        }
+        let bench = (0..300).step_by(3).collect();
+        (
+            Dataset::from_points(&pts).unwrap(),
+            bench,
+            DbscanParams::new(3, 1.5),
+        )
+    }
+
+    /// A buffered (disk-engine shaped) fetch: the records are decoded
+    /// into the caller's buffer.
+    fn buffered<'a>(
+        dataset: &k2_model::Dataset,
+        t: Time,
+        buf: &'a mut Vec<ObjPos>,
+    ) -> StoreResult<SnapshotRef<'a>> {
+        buf.clear();
+        buf.extend_from_slice(dataset.snapshot(t).map(|s| s.positions()).unwrap_or(&[]));
+        Ok(SnapshotRef::Buffered(buf))
+    }
+
+    #[test]
+    fn streamed_phase_equals_sequential_and_patches_each_run() {
+        let (dataset, bench, params) = buffered_fixture();
+        let seq =
+            cluster_benchmark_snapshots(1, &bench, params, |t, buf| buffered(&dataset, t, buf))
+                .unwrap();
+        assert!(seq.clusters.iter().any(|c| !c.is_empty()));
+        assert_eq!(seq.grid.builds, 1, "one run, one build");
+        for threads in [2usize, 4, 16] {
+            let par = cluster_benchmark_snapshots(threads, &bench, params, |t, buf| {
+                buffered(&dataset, t, buf)
+            })
+            .unwrap();
+            assert_eq!(par.clusters, seq.clusters, "{threads} threads");
+            assert_eq!(par.points, seq.points, "{threads} threads");
+            // One grid per worker, patched across its whole run — the
+            // benchmark list (100 points) is longer than the buffer
+            // ring (threads × 8) at 2 and 4 threads.
+            let runs = shard_ranges(bench.len(), threads).len() as u64;
+            assert!(par.grid.builds <= runs, "{threads} threads: {:?}", par.grid);
+            assert_eq!(
+                par.grid.builds + par.grid.patches,
+                bench.len() as u64,
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn fetch_error_midway_stops_the_stream_and_returns_it() {
+        let (dataset, bench, params) = buffered_fixture();
+        for threads in [2usize, 4, 16] {
+            for fail_at in [0usize, 1, 17, 50, 99] {
+                let mut fetches = 0usize;
+                // The scope inside joins every worker before this returns,
+                // so returning at all proves no worker was left blocked.
+                let res = cluster_benchmark_snapshots(threads, &bench, params, |t, buf| {
+                    fetches += 1;
+                    if fetches > fail_at {
+                        return Err(k2_storage::StoreError::Corrupt(format!("at {t}")));
+                    }
+                    buffered(&dataset, t, buf)
+                });
+                match res {
+                    Err(k2_storage::StoreError::Corrupt(msg)) => {
+                        assert_eq!(msg, format!("at {}", bench[fail_at]));
+                    }
+                    _ => panic!("{threads} threads, fail at {fail_at}: expected the fetch error"),
+                }
+                assert_eq!(fetches, fail_at + 1, "no fetch after the error");
+            }
         }
     }
 

@@ -37,9 +37,10 @@ impl BloomFilter {
         }
     }
 
-    /// Double-hash probe positions for a key.
+    /// Double-hash probe positions for a key. The iterator borrows
+    /// nothing from the filter, so `insert` can set bits while it runs.
     #[inline]
-    fn probes(&self, key: u64) -> impl Iterator<Item = u64> + '_ {
+    fn probes(&self, key: u64) -> impl Iterator<Item = u64> {
         let h1 = mix64(key);
         let h2 = mix64(key ^ 0xA5A5_A5A5_A5A5_A5A5) | 1;
         let n = self.num_bits;
@@ -48,8 +49,7 @@ impl BloomFilter {
 
     /// Inserts a key (as its 64-bit representation).
     pub fn insert(&mut self, key: u64) {
-        let positions: Vec<u64> = self.probes(key).collect();
-        for pos in positions {
+        for pos in self.probes(key) {
             self.bits[(pos / 64) as usize] |= 1 << (pos % 64);
         }
     }
@@ -112,6 +112,26 @@ mod tests {
         for k in 0..1000u64 {
             assert!(f.may_contain(k * 7919));
         }
+    }
+
+    #[test]
+    fn bit_layout_is_stable() {
+        // Filters are persisted inside SSTables: the bits a key sets must
+        // never change, or existing files would answer wrongly.
+        let mut f = BloomFilter::with_capacity(20, 10);
+        for k in [0u64, 1, 42, 7 << 32 | 9, u64::MAX] {
+            f.insert(k);
+        }
+        assert_eq!(f.num_hashes, 6);
+        assert_eq!(
+            f.bits,
+            [
+                1_155_175_507_739_017_216,
+                2_750_927_601_664,
+                1_337_006_141_489_160,
+                874_261_277_740_959_826
+            ]
+        );
     }
 
     #[test]

@@ -24,7 +24,11 @@
 //!   `fsync`ed record in the append-only **manifest** ([`manifest`]),
 //!   written strictly *after* the files it references are durable,
 //! * reads consult the memtables (active, then frozen generations),
-//!   then tables newest-first; range scans k-way-merge all sources.
+//!   then tables newest-first; range scans k-way-merge all sources. A
+//!   sorted `multi_get` batch walks each table once with a block cursor
+//!   that skips tables whose key range misses the key, asks the bloom
+//!   filter only before fetching a new block, and answers later keys
+//!   from the block it holds.
 //!
 //! # MVCC state swap
 //!
@@ -58,6 +62,7 @@
 
 mod bloom;
 mod compaction;
+mod lookup;
 pub mod manifest;
 mod pin;
 mod shared;

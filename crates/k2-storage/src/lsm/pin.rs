@@ -9,6 +9,7 @@
 //! hold a lock while reading, and a writer never waits for a reader —
 //! the only shared point is the pointer swap itself.
 
+use super::lookup::ReadSources;
 use super::sstable::SsTableReader;
 use super::store::{key_of, key_parts, val_parts, Memtable, MergeIter};
 use crate::iostats::IoCounters;
@@ -122,20 +123,15 @@ impl StorePin {
         &self.state.table_seqs
     }
 
-    /// Newest version of one key within the pinned state: frozen
-    /// generations newest-first, then SSTables newest-first.
-    fn get_raw(&self, key: u64) -> StoreResult<Option<[u8; VAL_SIZE]>> {
-        for generation in self.state.frozen.iter().rev() {
-            if let Some(v) = generation.get(&key) {
-                return Ok(Some(*v));
-            }
+    /// The sources point lookups consult: the pinned frozen
+    /// generations and tables (the active memtable was frozen at pin
+    /// time).
+    fn read_sources(&self) -> ReadSources<'_> {
+        ReadSources {
+            active: None,
+            frozen: &self.state.frozen,
+            tables: &self.state.tables,
         }
-        for table in self.state.tables.iter().rev() {
-            if let Some(v) = table.get_with(key, &self.io)? {
-                return Ok(Some(v));
-            }
-        }
-        Ok(None)
     }
 
     /// Merged range scan over `[lo, hi]` within the pinned state.
@@ -197,19 +193,7 @@ impl SnapshotSource for StorePin {
     }
 
     fn multi_get_into(&self, t: Time, oids: &[Oid], out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        debug_assert!(oids.windows(2).all(|w| w[0] < w[1]));
-        out.clear();
-        if oids.is_empty() {
-            return Ok(());
-        }
-        self.io.add_point_queries(oids.len() as u64);
-        for &oid in oids {
-            if let Some(v) = self.get_raw(key_of(t, oid))? {
-                let (x, y) = val_parts(&v);
-                out.push(ObjPos::new(oid, x, y));
-            }
-        }
-        Ok(())
+        self.read_sources().multi_get_into(&self.io, t, oids, out)
     }
 
     fn io_stats(&self) -> IoStats {
@@ -247,11 +231,7 @@ impl TrajectoryStore for StorePin {
     }
 
     fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.io.add_point_query();
-        Ok(self.get_raw(key_of(t, oid))?.map(|v| {
-            let (x, y) = val_parts(&v);
-            ObjPos::new(oid, x, y)
-        }))
+        self.read_sources().point_get(&self.io, t, oid)
     }
 
     fn reset_io_stats(&self) {

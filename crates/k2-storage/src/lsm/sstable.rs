@@ -409,6 +409,9 @@ pub struct SsTableReader {
     index: Vec<(u64, u64, u32)>,
     bloom: BloomFilter,
     num_entries: u64,
+    /// Smallest and largest key, read once at open (`None` when empty):
+    /// the fence every point lookup checks before the bloom filter.
+    key_range: Option<(u64, u64)>,
     cache: Arc<BlockCache>,
     io: Arc<IoCounters>,
 }
@@ -442,7 +445,7 @@ impl SsTableReader {
         if index_len % 20 != 0 {
             return Err(StoreError::Corrupt("bad SSTable index length".into()));
         }
-        let index = index_bytes
+        let index: Vec<(u64, u64, u32)> = index_bytes
             .chunks_exact(20)
             .map(|row| {
                 let first = u64::from_be_bytes(row[0..8].try_into().expect("8"));
@@ -457,12 +460,26 @@ impl SsTableReader {
         let bloom = BloomFilter::from_bytes(&bloom_bytes)
             .ok_or_else(|| StoreError::Corrupt("bad SSTable bloom filter".into()))?;
 
+        // The largest key opens the last entry of the last data block.
+        let key_range = match (index.first(), index.last()) {
+            (Some(&(first, _, _)), Some(&(_, off, len))) => {
+                let last_off = (off + u64::from(len))
+                    .checked_sub(ENTRY_SIZE as u64)
+                    .ok_or_else(|| StoreError::Corrupt("empty SSTable data block".into()))?;
+                let mut last = [0u8; 8];
+                file.read_exact_at(&mut last, last_off)?;
+                Some((first, u64::from_be_bytes(last)))
+            }
+            _ => None,
+        };
+
         Ok(Self {
             id,
             file,
             index,
             bloom,
             num_entries,
+            key_range,
             cache,
             io,
         })
@@ -480,22 +497,20 @@ impl SsTableReader {
 
     /// Smallest key in the table (`None` for an empty table).
     pub fn min_key(&self) -> Option<u64> {
-        self.index.first().map(|&(first, _, _)| first)
+        self.key_range.map(|(lo, _)| lo)
     }
 
-    /// Largest key in the table (`None` for an empty table). Reads the
-    /// last data block; used by recovery to rebuild the store's time
-    /// span without a record-by-record scan.
-    pub fn max_key(&self) -> StoreResult<Option<u64>> {
-        let Some(last) = self.index.len().checked_sub(1) else {
-            return Ok(None);
-        };
-        let block = self.read_block(last)?;
-        let n = block.len() / ENTRY_SIZE;
-        let off = (n - 1) * ENTRY_SIZE;
-        Ok(Some(u64::from_be_bytes(
-            block[off..off + 8].try_into().expect("8"),
-        )))
+    /// Largest key in the table (`None` for an empty table), cached at
+    /// open; recovery uses it to rebuild the store's time span without a
+    /// record-by-record scan.
+    pub fn max_key(&self) -> Option<u64> {
+        self.key_range.map(|(_, hi)| hi)
+    }
+
+    /// Can any key in `[lo, hi]` be in this table, by its key range?
+    pub(crate) fn overlaps(&self, lo: u64, hi: u64) -> bool {
+        self.key_range
+            .is_some_and(|(min, max)| lo <= max && min <= hi)
     }
 
     /// May `key` be present according to the bloom filter?
@@ -508,10 +523,6 @@ impl SsTableReader {
     fn block_for(&self, key: u64) -> Option<usize> {
         let pos = self.index.partition_point(|&(first, _, _)| first <= key);
         pos.checked_sub(1)
-    }
-
-    fn read_block(&self, block_idx: usize) -> StoreResult<Arc<[u8]>> {
-        self.read_block_with(block_idx, &self.io)
     }
 
     /// Fetches one data block, accounting the access (cache hit/miss,
@@ -527,49 +538,30 @@ impl SsTableReader {
         }
         io.add_cache_miss();
         let (_, off, len) = self.index[block_idx];
-        let mut buf = vec![0u8; len as usize];
-        self.file.read_exact_at(&mut buf, off)?;
+        // One allocation: the file is read straight into the shared
+        // block, not into a scratch `Vec` that is then copied.
+        let mut block: Arc<[u8]> = std::iter::repeat_n(0u8, len as usize).collect();
+        let buf = Arc::get_mut(&mut block).expect("a fresh block is unshared");
+        self.file.read_exact_at(buf, off)?;
         io.add_seek();
         io.add_block_read(len as u64);
-        let block: Arc<[u8]> = buf.into();
         self.cache.insert(cache_key, block.clone());
         Ok(block)
     }
 
-    /// Point lookup. Consults the bloom filter first.
+    /// Point lookup of one key (a one-key point-cursor batch).
     pub fn get(&self, key: u64) -> StoreResult<Option<[u8; VAL_SIZE]>> {
-        self.get_with(key, &self.io)
+        self.point_cursor(&self.io).get(key)
     }
 
-    /// [`get`](Self::get) with the access accounted into `io` — the
-    /// per-pin read path (see `read_block_with`).
-    pub fn get_with(&self, key: u64, io: &IoCounters) -> StoreResult<Option<[u8; VAL_SIZE]>> {
-        if !self.bloom.may_contain(key) {
-            io.add_bloom_negative();
-            return Ok(None);
+    /// A point-lookup cursor for one ascending key batch, with block
+    /// fetches accounted into `io` (the table's own counters, or a pin's).
+    pub(crate) fn point_cursor<'a>(&'a self, io: &'a IoCounters) -> PointCursor<'a> {
+        PointCursor {
+            table: self,
+            io,
+            held: None,
         }
-        let Some(bi) = self.block_for(key) else {
-            return Ok(None);
-        };
-        let block = self.read_block_with(bi, io)?;
-        let n = block.len() / ENTRY_SIZE;
-        let mut lo = 0usize;
-        let mut hi = n;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let off = mid * ENTRY_SIZE;
-            let k = u64::from_be_bytes(block[off..off + 8].try_into().expect("8"));
-            match k.cmp(&key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    let val: [u8; VAL_SIZE] =
-                        block[off + 8..off + ENTRY_SIZE].try_into().expect("val");
-                    return Ok(Some(val));
-                }
-            }
-        }
-        Ok(None)
     }
 
     /// Cursor positioned at the first entry with key `>= key`.
@@ -619,20 +611,7 @@ impl SsTableIter<'_> {
                 let block = self.table.read_block_with(self.block_idx, self.io)?;
                 if self.entry_idx == usize::MAX {
                     // First positioning: binary search for seek_key.
-                    let n = block.len() / ENTRY_SIZE;
-                    let mut lo = 0usize;
-                    let mut hi = n;
-                    while lo < hi {
-                        let mid = (lo + hi) / 2;
-                        let off = mid * ENTRY_SIZE;
-                        let k = u64::from_be_bytes(block[off..off + 8].try_into().expect("8"));
-                        if k < self.seek_key {
-                            lo = mid + 1;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    self.entry_idx = lo;
+                    self.entry_idx = lower_bound(&block, 0, self.seek_key);
                 }
                 self.current = Some(block);
             }
@@ -644,18 +623,104 @@ impl SsTableIter<'_> {
                 self.current = None;
                 continue;
             }
-            let off = self.entry_idx * ENTRY_SIZE;
-            let k = u64::from_be_bytes(block[off..off + 8].try_into().expect("8"));
-            let val: [u8; VAL_SIZE] = block[off + 8..off + ENTRY_SIZE].try_into().expect("val");
+            let entry = (
+                entry_key(block, self.entry_idx),
+                entry_val(block, self.entry_idx),
+            );
             self.entry_idx += 1;
-            return Ok(Some((k, val)));
+            return Ok(Some(entry));
         }
+    }
+}
+
+/// Key of entry `i` of a data block.
+fn entry_key(block: &[u8], i: usize) -> u64 {
+    let off = i * ENTRY_SIZE;
+    u64::from_be_bytes(block[off..off + 8].try_into().expect("8"))
+}
+
+/// Value of entry `i` of a data block.
+fn entry_val(block: &[u8], i: usize) -> [u8; VAL_SIZE] {
+    let off = i * ENTRY_SIZE + 8;
+    block[off..off + VAL_SIZE].try_into().expect("val")
+}
+
+/// Position of the first entry at or after `from` whose key is `>= key`.
+fn lower_bound(block: &[u8], from: usize, key: u64) -> usize {
+    let (mut lo, mut hi) = (from, block.len() / ENTRY_SIZE);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if entry_key(block, mid) < key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The block a [`PointCursor`] holds: its data, the first key past it
+/// (`u64::MAX` for the table's last block) and where the in-block search
+/// resumes.
+struct HeldBlock {
+    data: Arc<[u8]>,
+    end: u64,
+    pos: usize,
+}
+
+/// Point lookups over one table for keys that arrive in ascending order
+/// (one `multi_get` batch).
+///
+/// A key outside the table's key range touches neither the bloom filter
+/// nor a block. Otherwise the cursor answers from the block it holds
+/// while that block still covers the key, with no cache lookup and no
+/// bloom probe; only before fetching a new block does it ask the bloom
+/// filter. The answers equal one independent lookup per key: the held
+/// block is exactly the block that lookup would read.
+pub(crate) struct PointCursor<'a> {
+    table: &'a SsTableReader,
+    io: &'a IoCounters,
+    held: Option<HeldBlock>,
+}
+
+impl PointCursor<'_> {
+    /// Value stored under `key`; keys must not descend across calls.
+    pub(crate) fn get(&mut self, key: u64) -> StoreResult<Option<[u8; VAL_SIZE]>> {
+        let table = self.table;
+        if !table.overlaps(key, key) {
+            return Ok(None);
+        }
+        let held = match &mut self.held {
+            Some(held) if key < held.end => held,
+            _ => {
+                if !table.bloom.may_contain(key) {
+                    self.io.add_bloom_negative();
+                    return Ok(None);
+                }
+                let idx = table
+                    .block_for(key)
+                    .expect("key is at or past the first key");
+                self.held.insert(HeldBlock {
+                    data: table.read_block_with(idx, self.io)?,
+                    end: table
+                        .index
+                        .get(idx + 1)
+                        .map_or(u64::MAX, |&(first, _, _)| first),
+                    pos: 0,
+                })
+            }
+        };
+        held.pos = lower_bound(&held.data, held.pos, key);
+        let n = held.data.len() / ENTRY_SIZE;
+        Ok((held.pos < n && entry_key(&held.data, held.pos) == key)
+            .then(|| entry_val(&held.data, held.pos)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IoStats;
 
     fn tmp(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("k2sst-{}", std::process::id()));
@@ -839,6 +904,68 @@ mod tests {
         }
         skipped += io.snapshot().bloom_negatives;
         assert!(skipped > 400, "bloom skipped only {skipped}");
+    }
+
+    #[test]
+    fn key_range_is_cached_at_open() {
+        let path = build("range.k2ss", (0..5000u64).map(|i| i * 3 + 7));
+        let (cache, io) = fixtures();
+        let r = SsTableReader::open(&path, 8, cache, io.clone()).unwrap();
+        assert_eq!(r.min_key(), Some(7));
+        assert_eq!(r.max_key(), Some(4999 * 3 + 7));
+        assert_eq!(
+            io.snapshot(),
+            IoStats::default(),
+            "open and max_key read no block"
+        );
+    }
+
+    #[test]
+    fn probes_outside_the_key_range_touch_neither_bloom_nor_block() {
+        let path = build("fence.k2ss", (1000..2000u64).map(|i| i * 1000));
+        let (cache, io) = fixtures();
+        let r = SsTableReader::open(&path, 9, cache, io.clone()).unwrap();
+        let mut below = r.point_cursor(&io);
+        for k in (0..999_999u64).step_by(7) {
+            assert_eq!(below.get(k).unwrap(), None);
+        }
+        let mut above = r.point_cursor(&io);
+        for k in (1_999_001..2_999_000u64).step_by(7) {
+            assert_eq!(above.get(k).unwrap(), None);
+        }
+        // Almost all of these keys fail the bloom filter, so consulting
+        // it would count ~280k negatives; the fence answers first.
+        let s = io.snapshot();
+        assert_eq!(s.bloom_negatives, 0);
+        assert_eq!(s.cache_hits + s.cache_misses, 0);
+        assert_eq!(s.blocks_read, 0);
+    }
+
+    #[test]
+    fn point_cursor_reuses_its_block_and_asks_bloom_only_before_a_fetch() {
+        // Dense keys: 170 entries per block, so 0..1000 spans 6 blocks.
+        let path = build("cursor.k2ss", 0..1000u64);
+        let (cache, io) = fixtures();
+        let r = SsTableReader::open(&path, 10, cache, io.clone()).unwrap();
+        let per_block = (BLOCK_SIZE / ENTRY_SIZE) as u64;
+        let blocks = 1000u64.div_ceil(per_block);
+        let mut cursor = r.point_cursor(&io);
+        for k in 0..1000u64 {
+            let v = cursor.get(k).unwrap().unwrap();
+            assert_eq!(v[0], (k % 251) as u8);
+        }
+        let s = io.snapshot();
+        assert_eq!(s.cache_hits + s.cache_misses, blocks, "one fetch per block");
+        assert_eq!(s.bloom_negatives, 0);
+        // Keys absent inside a held block are answered from the block;
+        // a fresh cursor on a sparse table sees the same answers.
+        let sparse = build("cursor-sparse.k2ss", (0..1000u64).map(|i| i * 2));
+        let r = SsTableReader::open(&sparse, 11, fixtures().0, io.clone()).unwrap();
+        let mut cursor = r.point_cursor(&io);
+        for k in 0..2000u64 {
+            assert_eq!(cursor.get(k).unwrap().is_some(), k % 2 == 0, "key {k}");
+            assert_eq!(r.get(k).unwrap().is_some(), k % 2 == 0, "key {k}");
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use super::compaction::{
     run_job, CompactionController, CompactionDone, CompactionHandle, CompactionJob,
     CompactionPolicy,
 };
+use super::lookup::ReadSources;
 use super::manifest::{sync_dir, Manifest, ManifestRecord};
 use super::pin::{LsmState, StorePin};
 use super::sstable::{BlockCache, SsTableIter, SsTableReader, SsTableWriter};
@@ -349,7 +350,7 @@ impl LsmStore {
             });
         };
         for t in &tables {
-            if let (Some(lo), Some(hi)) = (t.min_key(), t.max_key()?) {
+            if let (Some(lo), Some(hi)) = (t.min_key(), t.max_key()) {
                 widen((lo >> 32) as Time, (hi >> 32) as Time);
             }
         }
@@ -827,39 +828,14 @@ impl LsmStore {
         &self.dir
     }
 
-    /// Newest version of one key: active memtable first, then frozen
-    /// generations (newest first), then the SSTables. `multi_get_into`
-    /// takes the same steps but replaces the active-memtable point-get
-    /// with a batch range cursor — keep any change to lookup semantics
-    /// in these helpers.
-    fn get_raw(&self, key: u64) -> StoreResult<Option<[u8; VAL_SIZE]>> {
-        if let Some(v) = self.active.get(&key) {
-            return Ok(Some(*v));
+    /// The sources point lookups consult: the active memtable, the
+    /// frozen generations and the tables.
+    fn read_sources(&self) -> ReadSources<'_> {
+        ReadSources {
+            active: Some(&self.active),
+            frozen: &self.frozen,
+            tables: &self.tables,
         }
-        if let Some(v) = self.get_frozen(key) {
-            return Ok(Some(v));
-        }
-        self.get_from_tables(key)
-    }
-
-    /// Newest version of one key among the frozen generations (newest
-    /// to oldest), ignoring the active memtable and the SSTables.
-    fn get_frozen(&self, key: u64) -> Option<[u8; VAL_SIZE]> {
-        self.frozen
-            .iter()
-            .rev()
-            .find_map(|generation| generation.get(&key).copied())
-    }
-
-    /// Newest version of one key among the SSTables (newest to oldest),
-    /// ignoring the memtables.
-    fn get_from_tables(&self, key: u64) -> StoreResult<Option<[u8; VAL_SIZE]>> {
-        for table in self.tables.iter().rev() {
-            if let Some(v) = table.get(key)? {
-                return Ok(Some(v));
-            }
-        }
-        Ok(None)
     }
 
     /// Merged range scan over `[lo, hi]`, newest version winning; each
@@ -1026,42 +1002,7 @@ impl SnapshotSource for LsmStore {
     }
 
     fn multi_get_into(&self, t: Time, oids: &[Oid], out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        debug_assert!(oids.windows(2).all(|w| w[0] < w[1]));
-        // §5.2: "for fetching the data for HWMT, a point query is issued
-        // for each (timestamp, oid) pair." Each probe goes straight from
-        // the memtable / SSTable blocks into the caller's buffer — the
-        // k/2-hop probe loops call this thousands of times on tiny
-        // candidate sets, and the default `multi_get` delegation was the
-        // last per-probe allocation on this engine.
-        //
-        // The batch's keys ascend (fixed `t`, sorted oids), so the
-        // active-memtable side is one ordered range cursor walked in
-        // step with the oids instead of a `log n` tree descent per oid;
-        // only keys it does not hold fall through to the frozen
-        // generations and SSTables.
-        out.clear();
-        if oids.is_empty() {
-            return Ok(());
-        }
-        self.io.add_point_queries(oids.len() as u64);
-        let lo = key_of(t, oids[0]);
-        let hi = key_of(t, *oids.last().expect("non-empty"));
-        let mut mem = self.active.range(lo..=hi).peekable();
-        for &oid in oids {
-            let key = key_of(t, oid);
-            while mem.next_if(|&(&k, _)| k < key).is_some() {}
-            if let Some((_, v)) = mem.next_if(|&(&k, _)| k == key) {
-                let (x, y) = val_parts(v);
-                out.push(ObjPos::new(oid, x, y));
-            } else if let Some(v) = self.get_frozen(key) {
-                let (x, y) = val_parts(&v);
-                out.push(ObjPos::new(oid, x, y));
-            } else if let Some(v) = self.get_from_tables(key)? {
-                let (x, y) = val_parts(&v);
-                out.push(ObjPos::new(oid, x, y));
-            }
-        }
-        Ok(())
+        self.read_sources().multi_get_into(&self.io, t, oids, out)
     }
 
     fn io_stats(&self) -> IoStats {
@@ -1105,11 +1046,7 @@ impl TrajectoryStore for LsmStore {
     }
 
     fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.io.add_point_query();
-        Ok(self.get_raw(key_of(t, oid))?.map(|v| {
-            let (x, y) = val_parts(&v);
-            ObjPos::new(oid, x, y)
-        }))
+        self.read_sources().point_get(&self.io, t, oid)
     }
 
     fn reset_io_stats(&self) {

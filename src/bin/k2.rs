@@ -17,7 +17,7 @@ use k2hop::core::{K2Config, K2HopParallel};
 use k2hop::model::{codec, Dataset};
 use k2hop::server::{K2Service, Server};
 use k2hop::storage::{
-    FlatFileStore, InMemoryStore, LsmConfig, LsmStore, RelationalStore, SharedLsm,
+    FlatFileStore, InMemoryStore, LsmConfig, LsmStore, RelationalStore, SharedLsm, SnapshotSource,
 };
 use k2hop::{MiningSession, PatternKind};
 use std::collections::HashMap;
@@ -211,11 +211,11 @@ fn mine(args: &[&String]) -> Result<(), String> {
     };
 
     let dataset = load(path)?;
-    let start = Instant::now();
 
     // The unified algorithms run through one MiningSession over whichever
     // storage engine was requested; the remaining baselines keep their
-    // research entry points (in-memory only).
+    // research entry points (in-memory only). A disk engine's bulk load
+    // is timed apart from the mine.
     let config = K2Config::new(m, k, eps).map_err(|e| e.to_string())?;
     let session = match algo {
         "k2hop" => {
@@ -232,32 +232,44 @@ fn mine(args: &[&String]) -> Result<(), String> {
         "pccd" => Some(MiningSession::new(config).engine(SweepMiner::pccd(config))),
         _ => None,
     };
-    let (convoys, extra) = match session {
+    let mut load = None;
+    let start = Instant::now();
+    let (convoys, extra, mined) = match session {
         Some(session) => {
             let session = session.pattern(pattern);
             let tmp = std::env::temp_dir().join(format!("k2cli-{}", std::process::id()));
-            let outcome = match engine {
-                "memory" => session.mine(&dataset),
+            let store: Option<Box<dyn SnapshotSource>> = match engine {
+                "memory" => None,
                 "flat" => {
                     std::fs::create_dir_all(&tmp).map_err(|e| e.to_string())?;
                     let store = FlatFileStore::create(tmp.join("data.bin"), &dataset)
                         .map_err(|e| e.to_string())?;
-                    session.mine(&store)
+                    Some(Box::new(store))
                 }
                 "rdbms" => {
                     std::fs::create_dir_all(&tmp).map_err(|e| e.to_string())?;
                     let store = RelationalStore::create(tmp.join("data.k2bt"), &dataset)
                         .map_err(|e| e.to_string())?;
-                    session.mine(&store)
+                    Some(Box::new(store))
                 }
                 "lsmt" => {
                     let store = LsmStore::bulk_load(tmp.join("lsm"), &dataset)
                         .map_err(|e| e.to_string())?;
-                    session.mine(&store)
+                    Some(Box::new(store))
                 }
                 other => return Err(format!("unknown engine '{other}'")),
+            };
+            let loaded = start.elapsed();
+            let outcome = match &store {
+                Some(store) => {
+                    load = Some(loaded);
+                    session.mine(store.as_ref())
+                }
+                None => session.mine(&dataset),
             }
             .map_err(|e| e.to_string())?;
+            let mined = start.elapsed() - loaded;
+            drop(store);
             let _ = std::fs::remove_dir_all(&tmp);
             let pruning = &outcome.stats.pruning;
             let extra = if pruning.total_points > 0 {
@@ -272,7 +284,7 @@ fn mine(args: &[&String]) -> Result<(), String> {
                 // counters rather than a fictitious ratio.
                 format!(", engine {}", outcome.stats.engine)
             };
-            (outcome.convoys, extra)
+            (outcome.convoys, extra, mined)
         }
         None => {
             if pattern != PatternKind::Convoy {
@@ -291,11 +303,15 @@ fn mine(args: &[&String]) -> Result<(), String> {
             (
                 result.convoys,
                 format!(", {} points processed", result.points_processed),
+                start.elapsed(),
             )
         }
     };
-    let elapsed = start.elapsed();
-    println!("{} convoys in {elapsed:.2?} ({algo}{extra})", convoys.len());
+    let load = load.map_or(String::new(), |d| format!("{engine} load {d:.2?}; "));
+    println!(
+        "{} convoys in {mined:.2?} ({load}{algo}{extra})",
+        convoys.len()
+    );
     if !quiet {
         for c in &convoys {
             println!("  {:?} over {} (len {})", c.objects, c.lifespan, c.len());

@@ -83,6 +83,8 @@ fn generate_stats_mine_convert_round_trip() {
             "--quiet",
         ]));
         assert!(out.starts_with("2 convoys"), "{engine}: {out}");
+        // Disk engines report the bulk load apart from the mine.
+        assert!(out.contains(&format!("({engine} load ")), "{engine}: {out}");
     }
 
     // Binary -> CSV -> binary preserves the dataset.
