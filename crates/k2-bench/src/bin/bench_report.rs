@@ -13,9 +13,10 @@
 //! A `--scale-axis` list adds a dataset-size axis: for each scale the
 //! Brinkhoff *time* axis is stretched (objects arrive at the fixed base
 //! rate), the points are bulk-loaded into an on-disk LSM store, the
-//! resident dataset is dropped, and the parallel miner runs through the
-//! bounded hop-window prefetch — recording wall-clock, the deterministic
-//! `prefetch_bytes_peak` counter, and the process RSS around the mine.
+//! resident dataset is dropped, and `K2Hop` mines the store — recording
+//! wall-clock, the deterministic `prefetch_bytes_peak` counter (the
+//! largest per-timestamp hop-window fetch), and the process RSS around
+//! the mine.
 //! This is the report's proof that mining memory stays bounded while the
 //! dataset grows past the first million points.
 //!
@@ -49,7 +50,7 @@
 //! fails on a workload mismatch).
 
 use k2_cluster::{dbscan_with, DbscanParams, GridScratch};
-use k2_core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel, MineOutcome, PrefetchStats};
+use k2_core::{ConvoyMiner, K2Config, K2Hop, MineOutcome, PrefetchStats};
 use k2_datagen::brinkhoff::BrinkhoffConfig;
 use k2_datagen::trucks::TrucksConfig;
 use k2_datagen::ConvoyInjector;
@@ -81,9 +82,8 @@ const GEO_K: u32 = 60;
 const GEO_EPS: f64 = 6.0e-4;
 
 /// Worker threads for the scale-axis mines. Fixed (not
-/// `available_parallelism`) so the default shard size — and therefore
-/// the deterministic `prefetch_bytes_peak` counter the CI gate asserts a
-/// ceiling on — is identical on every machine.
+/// `available_parallelism`) so the entry's workload — and its grid
+/// counters — are identical on every machine.
 const SCALE_THREADS: usize = 4;
 
 /// Serving-section shape: miner count doubles as the worker-pool size,
@@ -151,7 +151,7 @@ fn parse_args() -> Args {
 /// One field of `/proc/self/status` (e.g. `VmHWM`, `VmRSS`), in bytes.
 /// Returns `None` off Linux or if the field is missing — the report
 /// records 0 rather than failing, since the deterministic prefetch
-/// counters are the primary memory gauge.
+/// peak is the primary memory gauge.
 fn proc_status_bytes(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {
@@ -197,8 +197,8 @@ fn mine_runs(store: &InMemoryStore, config: K2Config, runs: usize) -> (f64, Mine
     (secs, outcome, snapshot_io)
 }
 
-/// One point on the dataset-size axis: an LSM-backed, prefetch-bounded
-/// parallel mine of a time-stretched Brinkhoff workload.
+/// One point on the dataset-size axis: a `K2Hop` mine of an LSM store
+/// holding a time-stretched Brinkhoff workload.
 struct ScaleEntry {
     scale: f64,
     max_time: u32,
@@ -245,12 +245,12 @@ fn run_scale_axis(args: &Args) -> Vec<ScaleEntry> {
         let store = LsmStore::bulk_load(dir.join("lsm"), &dataset).expect("bulk load");
         let load_secs = t0.elapsed().as_secs_f64();
         // From here on only the disk engine holds the points: the mine
-        // below must fit its working set in O(window x threads), which
-        // is what the prefetch counters and RSS samples witness.
+        // below fetches one hop-window timestamp at a time, which is what
+        // the prefetch peak and RSS samples witness.
         drop(dataset);
 
         let vm_rss_before = proc_status_bytes("VmRSS").unwrap_or(0);
-        let miner = K2HopParallel::new(
+        let miner = K2Hop::with_threads(
             K2Config::new(M, K, EPS).expect("valid config"),
             SCALE_THREADS,
         );
@@ -1001,10 +1001,10 @@ fn render_json(input: &RenderInput) -> String {
         serving.max_live_pins, serving.max_staleness
     );
     s.push_str("  },\n");
-    // Dataset-size axis: LSM-resident data mined through the bounded
-    // hop-window prefetch. `prefetch_bytes_peak` is deterministic (fixed
-    // SCALE_THREADS, logical slab bytes) — the CI gate holds it under a
-    // committed ceiling while `dataset.points` grows into the millions.
+    // Dataset-size axis: LSM-resident data mined by `K2Hop`.
+    // `prefetch_bytes_peak` is deterministic (logical bytes of the largest
+    // hop-window fetch) — the CI gate holds it under a committed ceiling
+    // while `dataset.points` grows into the millions.
     s.push_str("  \"scale_axis\": [");
     for (i, e) in scale_entries.iter().enumerate() {
         s.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -1038,8 +1038,8 @@ fn render_json(input: &RenderInput) -> String {
         );
         let _ = writeln!(
             s,
-            "      \"prefetch\": {{\"prefetch_bytes_peak\": {}, \"windows_fetched\": {}, \"shards\": {}}},",
-            e.prefetch.prefetch_bytes_peak, e.prefetch.windows_fetched, e.prefetch.shards
+            "      \"prefetch\": {{\"prefetch_bytes_peak\": {}}},",
+            e.prefetch.prefetch_bytes_peak
         );
         let _ = writeln!(
             s,

@@ -62,16 +62,6 @@ pub fn candidate_clusters_pooled(
     })
 }
 
-/// Sorted union of the object ids across `sets` — the id list one
-/// hop-window's slab fetch asks the store for (every object HWMT can
-/// probe in that window belongs to one of its candidate clusters).
-pub fn object_id_union(sets: &[ObjectSet]) -> Vec<Oid> {
-    let mut ids: Vec<Oid> = sets.iter().flat_map(|s| s.iter()).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids
-}
-
 fn candidate_clusters_with(
     left: &[ObjectSet],
     right: &[ObjectSet],

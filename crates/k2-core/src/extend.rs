@@ -29,32 +29,13 @@ pub fn extend_right<S: SnapshotSource + ?Sized>(
     convoys: impl IntoIterator<Item = Convoy>,
     dataset_end: Time,
 ) -> StoreResult<ExtendResult> {
-    extend_right_tuned(
-        store,
-        params,
-        convoys,
-        dataset_end,
-        ConvoySetTuning::default(),
-    )
-}
-
-/// [`extend_right`] with explicit [`ConvoySetTuning`] for its maximality
-/// sets (what the pipeline passes from `K2Config::convoyset`).
-pub fn extend_right_tuned<S: SnapshotSource + ?Sized>(
-    store: &S,
-    params: DbscanParams,
-    convoys: impl IntoIterator<Item = Convoy>,
-    dataset_end: Time,
-    tuning: ConvoySetTuning,
-) -> StoreResult<ExtendResult> {
     extend_directed(
         store,
         params,
         convoys,
-        dataset_end,
-        Direction::Right,
-        None,
-        tuning,
+        Direction::Right(dataset_end),
+        ConvoySetTuning::default(),
+        &mut ProbeScratch::default(),
     )
 }
 
@@ -70,63 +51,48 @@ pub fn extend_left<S: SnapshotSource + ?Sized>(
     dataset_start: Time,
     min_len: u32,
 ) -> StoreResult<ExtendResult> {
-    extend_left_tuned(
-        store,
-        params,
-        convoys,
-        dataset_start,
-        min_len,
-        ConvoySetTuning::default(),
-    )
-}
-
-/// [`extend_left`] with explicit [`ConvoySetTuning`] for its maximality
-/// sets (what the pipeline passes from `K2Config::convoyset`).
-pub fn extend_left_tuned<S: SnapshotSource + ?Sized>(
-    store: &S,
-    params: DbscanParams,
-    convoys: impl IntoIterator<Item = Convoy>,
-    dataset_start: Time,
-    min_len: u32,
-    tuning: ConvoySetTuning,
-) -> StoreResult<ExtendResult> {
     extend_directed(
         store,
         params,
         convoys,
-        dataset_start,
-        Direction::Left,
-        Some(min_len),
-        tuning,
+        Direction::Left(dataset_start, min_len),
+        ConvoySetTuning::default(),
+        &mut ProbeScratch::default(),
     )
 }
 
+/// Which way an extension pass runs, with its dataset boundary (and, for
+/// the left pass, the `k` filter applied to what it emits).
 #[derive(Clone, Copy, PartialEq)]
-enum Direction {
-    Right,
-    Left,
+pub(crate) enum Direction {
+    Right(Time),
+    Left(Time, u32),
 }
 
-fn extend_directed<S: SnapshotSource + ?Sized>(
+/// Algorithm 3 in either direction, reusing a caller-provided probe
+/// scratch; `tuning` shapes the result sets (what the pipeline passes from
+/// `K2Config::convoyset`).
+pub(crate) fn extend_directed<S: SnapshotSource + ?Sized>(
     store: &S,
     params: DbscanParams,
     convoys: impl IntoIterator<Item = Convoy>,
-    limit: Time,
     dir: Direction,
-    min_len: Option<u32>,
     tuning: ConvoySetTuning,
+    scratch: &mut ProbeScratch,
 ) -> StoreResult<ExtendResult> {
     let mut result = ConvoySet::with_tuning(tuning);
     let mut points_fetched = 0u64;
-    // One scratch for the whole pass: probe buffers plus the set-interning
-    // pool, so a convoy that extends intact re-derives the *same* (shared)
-    // object set at every frontier and the survived-intact equality below
-    // is a pointer compare.
-    let mut scratch = ProbeScratch::default();
+    // The scratch holds probe buffers plus the set-interning pool, so a
+    // convoy that extends intact re-derives the *same* (shared) object set
+    // at every frontier and the survived-intact equality below is a
+    // pointer compare.
     let emit = |set: &mut ConvoySet, v: Convoy| {
-        if min_len.is_none_or(|k| v.len() >= k) {
-            set.update(v);
+        if let Direction::Left(_, k) = dir {
+            if v.len() < k {
+                return;
+            }
         }
+        set.update(v);
     };
 
     for vsp in convoys {
@@ -140,16 +106,16 @@ fn extend_directed<S: SnapshotSource + ?Sized>(
             // Next timestamp in the chosen direction, stopping at the
             // dataset boundary (line 3).
             let frontier = match dir {
-                Direction::Right => {
+                Direction::Right(end) => {
                     let te = prev[0].end();
-                    if te >= limit {
+                    if te >= end {
                         break;
                     }
                     te + 1
                 }
-                Direction::Left => {
+                Direction::Left(start, _) => {
                     let ts = prev[0].start();
-                    if ts <= limit {
+                    if ts <= start {
                         break;
                     }
                     ts - 1
@@ -158,7 +124,7 @@ fn extend_directed<S: SnapshotSource + ?Sized>(
             let mut next = ConvoySet::with_tuning(tuning);
             for v in &prev {
                 let (clusters, fetched) =
-                    recluster_at_with(store, params, frontier, &v.objects, &mut scratch)?;
+                    recluster_at_with(store, params, frontier, &v.objects, scratch)?;
                 points_fetched += fetched;
                 if clusters.is_empty() {
                     // Line 7–8: v cannot be extended.
@@ -171,8 +137,8 @@ fn extend_directed<S: SnapshotSource + ?Sized>(
                         survived_intact = true;
                     }
                     let (s, e) = match dir {
-                        Direction::Right => (v.start(), frontier),
-                        Direction::Left => (frontier, v.end()),
+                        Direction::Right(_) => (v.start(), frontier),
+                        Direction::Left(..) => (frontier, v.end()),
                     };
                     next.update(Convoy::from_parts(c, s, e));
                 }

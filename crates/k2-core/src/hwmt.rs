@@ -15,6 +15,9 @@ pub struct WindowResult {
     pub points_fetched: u64,
     /// Timestamps actually probed (≤ window length thanks to early exit).
     pub timestamps_probed: u32,
+    /// Bytes of the largest single union fetch `DB[t]|∪survivors` — the
+    /// most store data the window held at once.
+    pub peak_fetch_bytes: u64,
 }
 
 /// Mines the 1st-order spanning convoys of the hop-window between
@@ -82,6 +85,7 @@ pub(crate) fn mine_window_scratched<S: SnapshotSource + ?Sized>(
         spanning: Vec::new(),
         points_fetched: 0,
         timestamps_probed: 0,
+        peak_fetch_bytes: 0,
     };
     if cc.is_empty() {
         return Ok(result);
@@ -91,10 +95,11 @@ pub(crate) fn mine_window_scratched<S: SnapshotSource + ?Sized>(
         for t in order(window) {
             result.timestamps_probed += 1;
             // One store call per probed timestamp: fetch `DB[t]|∪survivors`
-            // once, then restrict it to each candidate — the same
-            // restriction the slab path uses, so each candidate sees
-            // exactly what its own `DB[t]|O` probe would return.
+            // once, then restrict it to each candidate, so each candidate
+            // sees exactly what its own `DB[t]|O` probe would return.
             scratch.fetch_union(store, t, &survivors)?;
+            let bytes = std::mem::size_of_val(scratch.union_positions.as_slice()) as u64;
+            result.peak_fetch_bytes = result.peak_fetch_bytes.max(bytes);
             let mut next = Vec::with_capacity(survivors.len());
             for candidate in &survivors {
                 let (clusters, fetched) = scratch.recluster_from_union(params, candidate);
@@ -116,108 +121,6 @@ pub(crate) fn mine_window_scratched<S: SnapshotSource + ?Sized>(
         .map(|objects| Convoy::new(objects, lifespan))
         .collect();
     Ok(result)
-}
-
-/// One hop-window's worth of prefetched store data: `DB[t]|union(CCᵢ)`
-/// for every *open-window* timestamp `t ∈ (b_left, b_right)`, one
-/// oid-sorted column per timestamp.
-///
-/// The bounded prefetcher of
-/// [`K2HopParallel`](crate::K2HopParallel) fills a ring of these on the
-/// calling thread (store I/O is single-threaded) and hands them to the
-/// HWMT workers; the column buffers are reused across temporal shards,
-/// so peak memory is one shard's slabs, never the span.
-#[derive(Debug, Default)]
-pub(crate) struct WindowSlab {
-    /// First open-window timestamp (`b_left + 1`); meaningless while
-    /// `cols` is empty (degenerate `h = 1` windows fetch nothing).
-    pub(crate) start: Time,
-    /// One column per open-window timestamp, ascending from `start`.
-    pub(crate) cols: Vec<Vec<k2_model::ObjPos>>,
-}
-
-impl WindowSlab {
-    /// Logical bytes resident in this slab's columns.
-    pub(crate) fn bytes(&self) -> u64 {
-        let points: u64 = self.cols.iter().map(|c| c.len() as u64).sum();
-        points * std::mem::size_of::<k2_model::ObjPos>() as u64
-    }
-
-    /// Fetches the slab for the window `(b_left, b_right)` restricted to
-    /// the sorted id list `union`, reusing this slab's column buffers.
-    /// Returns the number of points fetched.
-    pub(crate) fn fill<S: SnapshotSource + ?Sized>(
-        &mut self,
-        store: &S,
-        b_left: Time,
-        b_right: Time,
-        union: &[k2_model::Oid],
-    ) -> StoreResult<u64> {
-        let window = match hop_window(b_left, b_right) {
-            Some(w) if !union.is_empty() => w,
-            _ => {
-                self.cols.clear();
-                return Ok(0);
-            }
-        };
-        self.start = window.start;
-        let n = window.len() as usize;
-        self.cols.truncate(n);
-        self.cols.resize_with(n, Vec::new);
-        let mut fetched = 0u64;
-        for (col, t) in self.cols.iter_mut().zip(window.iter()) {
-            store.multi_get_into(t, union, col)?;
-            fetched += col.len() as u64;
-        }
-        Ok(fetched)
-    }
-}
-
-/// [`mine_window_scratched`] probing a prefetched [`WindowSlab`] instead
-/// of the store — the compute half of the bounded prefetcher.
-///
-/// Restricting a slab column (already `DB[t]|union(CCᵢ)`, oid-sorted) by
-/// a candidate's ids equals restricting the full snapshot, because every
-/// set HWMT probes is a subset of the window's candidate union — so the
-/// output is bit-identical to probing the store, with zero I/O here.
-pub(crate) fn mine_window_slab(
-    slab: &WindowSlab,
-    params: DbscanParams,
-    b_left: Time,
-    b_right: Time,
-    cc: &[ObjectSet],
-    scratch: &mut crate::validate::DatasetProbeScratch,
-) -> Vec<Convoy> {
-    use k2_cluster::recluster_with;
-    if cc.is_empty() {
-        return Vec::new();
-    }
-    let mut survivors: Vec<ObjectSet> = cc.to_vec();
-    if let Some(window) = hop_window(b_left, b_right) {
-        debug_assert_eq!(slab.start, window.start);
-        debug_assert_eq!(slab.cols.len() as u32, window.len());
-        for t in hwmt_order(window) {
-            let col = &slab.cols[(t - slab.start) as usize];
-            let mut next = Vec::with_capacity(survivors.len());
-            for candidate in &survivors {
-                scratch.positions.clear();
-                k2_model::restrict_sorted_ids_into(col, candidate.ids(), &mut scratch.positions);
-                next.extend(recluster_with(
-                    &scratch.positions,
-                    params,
-                    &mut scratch.cluster,
-                ));
-            }
-            if next.is_empty() {
-                return Vec::new();
-            }
-            survivors = next;
-        }
-    }
-    survivors
-        .into_iter()
-        .map(|objects| Convoy::from_parts(objects.ids(), b_left, b_right))
-        .collect()
 }
 
 #[cfg(test)]
@@ -431,5 +334,8 @@ mod tests {
         let res = mine_window(&store, params, 0, 8, &cc).unwrap();
         // 7 window timestamps × 4 candidate objects.
         assert_eq!(res.points_fetched, 28);
+        // One fetch holds the 4 candidate objects of one timestamp.
+        let record = std::mem::size_of::<k2_model::ObjPos>() as u64;
+        assert_eq!(res.peak_fetch_bytes, 4 * record);
     }
 }

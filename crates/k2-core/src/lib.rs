@@ -17,13 +17,13 @@
 //! 6. **Validation** ([`validate`]) — the corrected HWMT\*-based recursive
 //!    validation producing maximal *fully connected* convoys.
 //!
-//! The entry point is the [`ConvoyMiner`] trait — implemented by
-//! [`K2Hop`] (sequential pipeline, sharded benchmark clustering) and
-//! [`K2HopParallel`] (every phase parallel) — which mines any
-//! [`SnapshotSource`] (in-memory dataset,
-//! flat file, B+tree, or LSM-tree) and returns a [`MineOutcome`]: the
-//! convoys together with [`PhaseTimings`] (Figure 8i), [`PruningStats`]
-//! (Table 5), and the source's I/O profile.
+//! The entry point is the [`ConvoyMiner`] trait, implemented by
+//! [`K2Hop`] — the one k/2-hop miner. It mines any [`SnapshotSource`]
+//! (in-memory dataset, flat file, B+tree, or LSM-tree) on a configurable
+//! number of threads and returns a [`MineOutcome`]: the convoys together
+//! with [`PhaseTimings`] (Figure 8i), [`PruningStats`] (Table 5), and the
+//! source's I/O profile. Steps 2–6 fan out over the threads when the
+//! source is resident and run inline on the calling thread otherwise.
 //!
 //! [`SnapshotSource`]: k2_storage::SnapshotSource
 //!
@@ -58,13 +58,11 @@ pub mod validate;
 mod config;
 mod miner;
 mod par;
-mod parallel;
 mod pipeline;
 
 pub use config::{ConfigError, K2Config};
 pub use miner::{ConvoyMiner, MineError, MineOutcome, MineStats};
-pub use parallel::K2HopParallel;
-pub use pipeline::{K2Hop, MiningResult};
+pub use pipeline::K2Hop;
 pub use stats::{GridStats, PhaseTimings, PrefetchStats, PruningStats};
 
 use k2_cluster::{recluster_with, DbscanParams, GridScratch};
@@ -74,9 +72,10 @@ use k2_storage::{SnapshotSource, StoreResult};
 /// Reusable working memory for one `reCluster` probe loop: the fetched
 /// `DB[t]|O` positions plus the clustering scratch ([`GridScratch`]).
 ///
-/// Every probe loop (HWMT, extension, validation) creates one of these
-/// per task and reuses it across all its probes, so the steady state of
-/// the hottest code in the system performs no heap allocation.
+/// The pipeline's executors create one of these per worker per step and
+/// reuse it across every item (hop-window, seed, candidate) that worker
+/// runs, so the steady state of the hottest code in the system performs
+/// no heap allocation.
 ///
 /// HWMT also keeps the sorted id union of a window's surviving
 /// candidates and the positions fetched for it, which each candidate's

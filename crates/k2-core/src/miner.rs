@@ -10,8 +10,9 @@
 //! metadata, never panicking on storage failures:
 //!
 //! ```
-//! use k2_core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
+//! use k2_core::{ConvoyMiner, K2Config, K2Hop};
 //! use k2_model::{Dataset, Point};
+//! use k2_storage::InMemoryStore;
 //!
 //! let mut pts = Vec::new();
 //! for t in 0..10u32 {
@@ -20,15 +21,13 @@
 //!     }
 //! }
 //! let dataset = Dataset::from_points(&pts).unwrap();
-//! let config = K2Config::new(3, 5, 1.0).unwrap();
+//! let store = InMemoryStore::new(dataset.clone());
+//! let miner: &dyn ConvoyMiner = &K2Hop::with_threads(K2Config::new(3, 5, 1.0).unwrap(), 4);
 //!
-//! // Both miners behind the same trait, both straight off the dataset.
-//! let miners: [&dyn ConvoyMiner; 2] = [
-//!     &K2Hop::new(config),
-//!     &K2HopParallel::new(config, 4),
-//! ];
-//! for miner in miners {
-//!     let outcome = miner.mine(&dataset).unwrap();
+//! // One miner behind the trait, over a bare dataset and a store alike.
+//! let sources: [&dyn k2_storage::SnapshotSource; 2] = [&dataset, &store];
+//! for source in sources {
+//!     let outcome = miner.mine(source).unwrap();
 //!     assert_eq!(outcome.convoys.len(), 1);
 //!     assert_eq!(outcome.stats.engine, miner.engine_name());
 //! }
@@ -42,8 +41,7 @@ use std::fmt;
 
 /// Everything that can go wrong in a mining run — the typed union of
 /// parameter validation ([`ConfigError`]) and storage failures
-/// ([`StoreError`]) that the legacy entry points split between
-/// `Result` layers and panics.
+/// ([`StoreError`]).
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum MineError {
@@ -110,8 +108,8 @@ pub struct MineStats {
     /// Data-pruning counters (Table 5). Engines fill the counters their
     /// execution strategy tracks; untracked counters stay zero.
     pub pruning: PruningStats,
-    /// Memory discipline of the store path's bounded hop-window
-    /// prefetch. All-zero for engines (or paths) that never prefetch.
+    /// Peak store data held by one hop-window fetch. All-zero for
+    /// engines that do not fetch hop-windows.
     pub prefetch: PrefetchStats,
     /// Grid-reuse counters of the benchmark-clustering phase (patched vs
     /// rebuilt snapshot grids). All-zero for engines that do not cluster
@@ -139,9 +137,8 @@ pub struct MineOutcome {
 ///
 /// Object-safe: sessions hold `Box<dyn ConvoyMiner>` and every source is
 /// passed as `&dyn SnapshotSource`, so any engine mines from any storage
-/// backend. Implemented by [`K2Hop`](crate::K2Hop),
-/// [`K2HopParallel`](crate::K2HopParallel), and the baseline miners
-/// (e.g. the CMC/PCCD snapshot sweep in `k2-baselines`).
+/// backend. Implemented by [`K2Hop`](crate::K2Hop) and the baseline
+/// miners (e.g. the CMC/PCCD snapshot sweep in `k2-baselines`).
 pub trait ConvoyMiner {
     /// Stable engine identifier for reports (e.g. `"k2hop"`).
     fn engine_name(&self) -> &'static str;
@@ -157,7 +154,7 @@ pub trait ConvoyMiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{K2Config, K2Hop, K2HopParallel};
+    use crate::{K2Config, K2Hop};
     use k2_model::{Dataset, Point};
     use k2_storage::InMemoryStore;
 
@@ -178,19 +175,19 @@ mod tests {
         let cfg = K2Config::new(3, 8, 1.0).unwrap();
         let store = InMemoryStore::new(d.clone());
         let miners: [Box<dyn ConvoyMiner>; 2] = [
+            Box::new(K2Hop::with_threads(cfg, 1)),
             Box::new(K2Hop::with_threads(cfg, 2)),
-            Box::new(K2HopParallel::new(cfg, 2)),
         ];
         let mut all = Vec::new();
-        for miner in &miners {
+        for (miner, threads) in miners.iter().zip([1, 2]) {
             let from_dataset = miner.mine(&d).unwrap();
             let from_store = miner.mine(&store).unwrap();
             assert_eq!(from_dataset.convoys, from_store.convoys);
             assert_eq!(from_dataset.stats.engine, miner.engine_name());
-            assert_eq!(from_dataset.stats.threads, 2);
+            assert_eq!(from_dataset.stats.threads, threads);
             all.push(from_store.convoys);
         }
-        assert_eq!(all[0], all[1], "engines agree behind the trait");
+        assert_eq!(all[0], all[1], "thread counts agree behind the trait");
         assert_eq!(all[0].len(), 1);
     }
 
@@ -199,11 +196,14 @@ mod tests {
         let d = dataset();
         let cfg = K2Config::new(3, 8, 1.0).unwrap();
         let store = InMemoryStore::new(d);
+        // The benchmark scans go through the store; the hop-window probes
+        // of a resident source read its dataset directly.
         let outcome = ConvoyMiner::mine(&K2Hop::new(cfg), &store).unwrap();
-        assert!(outcome.io.point_queries > 0);
+        assert!(outcome.io.range_queries > 0);
+        assert_eq!(outcome.io.point_queries, 0);
         // A bare dataset has no counters to move.
         let outcome = ConvoyMiner::mine(&K2Hop::new(cfg), store.dataset()).unwrap();
-        assert_eq!(outcome.io.point_queries, 0);
+        assert_eq!(outcome.io.range_queries, 0);
     }
 
     #[test]

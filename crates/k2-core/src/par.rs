@@ -1,13 +1,16 @@
-//! Self-scheduled, order-preserving parallel map — the work engine of
-//! [`K2HopParallel`](crate::K2HopParallel)'s per-window phases — plus the
-//! streamed, zero-copy benchmark-clustering phase both miners run.
+//! The work engines of the k/2-hop pipeline: the streamed, zero-copy
+//! benchmark-clustering phase, the self-scheduled order-preserving
+//! parallel map, and the two [`Executor`]s that run the per-item steps
+//! (hop-windows, merged convoys, candidates) on top of it.
 
+use crate::ProbeScratch;
 use k2_cluster::{dbscan_with, DbscanParams, GridCounters, GridScratch};
 use k2_model::{ObjPos, ObjectSet, Time};
-use k2_storage::{SnapshotRef, StoreResult};
+use k2_storage::{SnapshotRef, SnapshotSource, StoreResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// What the benchmark-clustering phase hands back to the miners: the
 /// per-benchmark cluster sets (in `bench` order), the number of points
@@ -22,19 +25,33 @@ pub(crate) struct BenchClusters {
     pub grid: GridCounters,
 }
 
+/// How long the calling thread maps alone before it spawns helpers.
+///
+/// Spawning and joining one scoped thread costs about 35–40 µs (p50;
+/// p99 about 110 µs) on a 2-core Linux container, while the short steps
+/// of a small mine (intersect, extension) finish in 10–20 µs. A step that
+/// is done within this budget never spawns; a longer one spawns its
+/// helpers once and gives up at most the budget's worth of parallelism.
+const SPAWN_AFTER: Duration = Duration::from_micros(100);
+
 /// Maps `f` over `items` on up to `threads` workers, preserving order.
+///
+/// The calling thread is one of the workers. It starts alone and spawns
+/// the other `threads - 1` only once the step has run for
+/// [`SPAWN_AFTER`] and the items left look like at least as much work
+/// again, so a step too small to pay for a thread runs sequentially.
 ///
 /// Work is self-scheduled: each worker atomically claims the next
 /// unprocessed index, so skewed items (hop-windows whose candidates die at
-/// the root probe vs. windows that probe every timestamp, dense vs. sparse
-/// benchmark snapshots) cannot strand one thread with all the slow work
-/// the way static `chunks()` partitioning would. Results are re-placed by
-/// index, so the output order is identical to the sequential map.
+/// the root probe vs. windows that probe every timestamp) cannot strand
+/// one thread with all the slow work the way static `chunks()`
+/// partitioning would. Results are re-placed by index, so the output
+/// order is identical to the sequential map. A worker's panic reaches the
+/// caller with its original payload.
 ///
 /// Every worker builds one context with `make_ctx` and reuses it across
-/// all the items it claims — this is how per-worker scratch
-/// (`GridScratch`, probe buffers, set pools) is threaded through without
-/// any locking.
+/// all the items it claims — this is how per-worker scratch (probe
+/// buffers, set pools) is threaded through without any locking.
 pub(crate) fn self_scheduled_map<T, R, C>(
     threads: usize,
     items: &[T],
@@ -45,64 +62,115 @@ where
     T: Sync,
     R: Send,
 {
-    if threads <= 1 || items.len() <= 1 {
-        let mut ctx = make_ctx();
-        return items.iter().map(|item| f(&mut ctx, item)).collect();
-    }
     let next = AtomicUsize::new(0);
-    let workers = threads.min(items.len());
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (f, make_ctx, next) = (&f, &make_ctx, &next);
-                scope.spawn(move || {
-                    let mut ctx = make_ctx();
-                    let mut produced: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        produced.push((i, f(&mut ctx, item)));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, r) in handle.join().expect("worker panicked") {
-                out[i] = Some(r);
+    // Claims and maps one item; `false` once none is left.
+    let claim = |ctx: &mut C, produced: &mut Vec<(usize, R)>| {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else {
+            return false;
+        };
+        produced.push((i, f(ctx, item)));
+        true
+    };
+    let helper = || {
+        let mut ctx = make_ctx();
+        let mut produced = Vec::new();
+        while claim(&mut ctx, &mut produced) {}
+        produced
+    };
+    let start = Instant::now();
+    let produced = std::thread::scope(|scope| {
+        let mut ctx = make_ctx();
+        let mut produced = Vec::with_capacity(items.len());
+        let mut helpers = Vec::new();
+        while claim(&mut ctx, &mut produced) {
+            if !helpers.is_empty() || threads <= 1 {
+                continue;
+            }
+            // Spawn once the step has run for the budget, and only if the
+            // items left, at the pace so far, will take as long again.
+            let done = next.load(Ordering::Relaxed).min(items.len());
+            let left = items.len() - done;
+            let elapsed = start.elapsed().as_secs_f64();
+            let budget = SPAWN_AFTER.as_secs_f64();
+            if elapsed >= budget && elapsed * left as f64 >= budget * done as f64 {
+                let spawn = (threads - 1).min(left);
+                helpers = (0..spawn).map(|_| scope.spawn(helper)).collect();
             }
         }
+        for handle in helpers {
+            let theirs = handle
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p));
+            produced.extend(theirs);
+        }
+        produced
     });
+    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
+    out.resize_with(items.len(), || None);
+    for (i, r) in produced {
+        out[i] = Some(r);
+    }
     out.into_iter()
         .map(|o| o.expect("every index was claimed"))
         .collect()
 }
 
-/// Splits `0..len` into at most `shards` contiguous index ranges of
-/// near-equal size (the first `len % shards` ranges are one longer) —
-/// the temporal sharding of the hop-window list. Never produces an
-/// empty range; returns fewer ranges when `len < shards`.
-pub(crate) fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
-    let shards = shards.clamp(1, len.max(1));
-    let (base, extra) = (len / shards, len % shards);
-    let mut out = Vec::with_capacity(shards);
-    let mut lo = 0usize;
-    for i in 0..shards {
-        let size = base + usize::from(i < extra);
-        if size == 0 {
-            break;
-        }
-        out.push(lo..lo + size);
-        lo += size;
-    }
-    out
+/// Runs one per-item step of the pipeline over a source: maps `f` over
+/// `items`, in order, and stops at the first error.
+///
+/// `f` takes the source as an argument instead of capturing it, so one
+/// closure serves both executors and only [`FanOut`] needs `S: Sync`.
+pub(crate) trait Executor<S: ?Sized> {
+    fn map<T: Sync, R: Send>(
+        &self,
+        source: &S,
+        items: &[T],
+        f: impl Fn(&S, &mut ProbeScratch, &T) -> StoreResult<R> + Sync,
+    ) -> StoreResult<Vec<R>>;
 }
 
-/// Benchmark clustering over a fetched snapshot stream — the step-1 engine
-/// shared by [`K2Hop`](crate::K2Hop) and
-/// [`K2HopParallel`](crate::K2HopParallel).
+/// Runs every item on the calling thread with one [`ProbeScratch`] —
+/// the executor for stores, whose buffer pools are not `Sync`.
+pub(crate) struct Inline;
+
+impl<S: SnapshotSource + ?Sized> Executor<S> for Inline {
+    fn map<T: Sync, R: Send>(
+        &self,
+        source: &S,
+        items: &[T],
+        f: impl Fn(&S, &mut ProbeScratch, &T) -> StoreResult<R> + Sync,
+    ) -> StoreResult<Vec<R>> {
+        let mut scratch = ProbeScratch::default();
+        items
+            .iter()
+            .map(|item| f(source, &mut scratch, item))
+            .collect()
+    }
+}
+
+/// Fans the items out over this many workers with
+/// [`self_scheduled_map`], one [`ProbeScratch`] per worker — the
+/// executor for resident sources.
+pub(crate) struct FanOut(pub(crate) usize);
+
+impl<S: SnapshotSource + Sync + ?Sized> Executor<S> for FanOut {
+    fn map<T: Sync, R: Send>(
+        &self,
+        source: &S,
+        items: &[T],
+        f: impl Fn(&S, &mut ProbeScratch, &T) -> StoreResult<R> + Sync,
+    ) -> StoreResult<Vec<R>> {
+        self_scheduled_map(self.0, items, ProbeScratch::default, |scratch, item| {
+            f(source, scratch, item)
+        })
+        .into_iter()
+        .collect()
+    }
+}
+
+/// Benchmark clustering over a fetched snapshot stream — step 1 of
+/// [`K2Hop`](crate::K2Hop).
 ///
 /// `fetch` resolves one benchmark timestamp to a [`SnapshotRef`], filling
 /// the passed buffer only when the engine cannot share its storage (see
@@ -144,7 +212,16 @@ pub(crate) fn cluster_benchmark_snapshots<F>(
 where
     F: for<'a> FnMut(Time, &'a mut Vec<ObjPos>) -> StoreResult<SnapshotRef<'a>>,
 {
-    let runs = shard_ranges(bench.len(), threads);
+    // One contiguous run per worker, run lengths differing by at most one.
+    let workers = threads.clamp(1, bench.len().max(1));
+    let (base, extra) = (bench.len() / workers, bench.len() % workers);
+    let runs: Vec<std::ops::Range<usize>> = (0..workers)
+        .map(|i| {
+            let lo = i * base + i.min(extra);
+            lo..lo + base + usize::from(i < extra)
+        })
+        .filter(|run| !run.is_empty())
+        .collect();
     if runs.len() <= 1 {
         // Sequential: cluster each snapshot while it is still hot in
         // cache, reusing one scratch and one scan buffer across all —
@@ -241,7 +318,9 @@ where
         let mut clusters = Vec::with_capacity(bench.len());
         let mut grid = GridCounters::default();
         for worker in workers {
-            let (run_clusters, counters) = worker.join().expect("worker panicked");
+            let (run_clusters, counters) = worker
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p));
             clusters.extend(run_clusters);
             grid.add(counters);
         }
@@ -288,13 +367,48 @@ impl Drop for PanicSignal {
 mod tests {
     use super::*;
 
+    /// A step that makes helpers take part: item 0 outlasts the spawn
+    /// budget, and afterwards the calling thread maps nothing until a
+    /// helper has mapped an item. `helper_item` runs on the helpers.
+    fn forced_fan_out<R: Send>(
+        threads: usize,
+        items: &[u32],
+        helper_item: impl Fn(u32) -> R + Sync,
+    ) -> Vec<R> {
+        let caller = std::thread::current().id();
+        let helped = std::sync::atomic::AtomicBool::new(false);
+        self_scheduled_map(
+            threads,
+            items,
+            || (),
+            |_, &x| {
+                if std::thread::current().id() != caller {
+                    helped.store(true, Ordering::SeqCst);
+                    return helper_item(x);
+                }
+                if x == 0 {
+                    std::thread::sleep(SPAWN_AFTER * 2);
+                } else {
+                    while threads > 1 && !helped.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                }
+                helper_item(x)
+            },
+        )
+    }
+
     #[test]
     fn preserves_order_for_any_thread_count() {
         let items: Vec<u32> = (0..97).collect();
         let expect: Vec<u32> = items.iter().map(|x| x * 3).collect();
+        let caller = std::thread::current().id();
         for threads in [1usize, 2, 4, 16, 128] {
-            let got = self_scheduled_map(threads, &items, || (), |_, &x| x * 3);
-            assert_eq!(got, expect, "{threads} threads");
+            let got = forced_fan_out(threads, &items, |x| (x * 3, std::thread::current().id()));
+            let values: Vec<u32> = got.iter().map(|&(v, _)| v).collect();
+            assert_eq!(values, expect, "{threads} threads");
+            let helped = got.iter().any(|&(_, id)| id != caller);
+            assert_eq!(helped, threads > 1, "{threads} threads");
         }
     }
 
@@ -456,7 +570,7 @@ mod tests {
             // One grid per worker, patched across its whole run — the
             // benchmark list (100 points) is longer than the buffer
             // ring (threads × 8) at 2 and 4 threads.
-            let runs = shard_ranges(bench.len(), threads).len() as u64;
+            let runs = threads.min(bench.len()) as u64;
             assert!(par.grid.builds <= runs, "{threads} threads: {:?}", par.grid);
             assert_eq!(
                 par.grid.builds + par.grid.patches,
@@ -493,27 +607,19 @@ mod tests {
     }
 
     #[test]
-    fn shard_ranges_partition_exactly() {
-        for len in [0usize, 1, 2, 7, 16, 97] {
-            for shards in [1usize, 2, 3, 4, 16, 200] {
-                let ranges = shard_ranges(len, shards);
-                assert!(ranges.len() <= shards.max(1));
-                assert!(ranges.iter().all(|r| !r.is_empty()), "{len}/{shards}");
-                let covered: usize = ranges.iter().map(|r| r.len()).sum();
-                assert_eq!(covered, len, "{len}/{shards}");
-                for pair in ranges.windows(2) {
-                    assert_eq!(pair[0].end, pair[1].start, "{len}/{shards}");
+    fn a_worker_panic_keeps_its_message() {
+        let items: Vec<u32> = (0..64).collect();
+        let caller = std::thread::current().id();
+        let caught = std::panic::catch_unwind(|| {
+            forced_fan_out(4, &items, |x| {
+                if std::thread::current().id() != caller {
+                    panic!("boom");
                 }
-                if let (Some(first), Some(last)) = (ranges.first(), ranges.last()) {
-                    assert_eq!(first.start, 0);
-                    assert_eq!(last.end, len);
-                    // Near-equal: sizes differ by at most one.
-                    let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-                    let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                    assert!(max - min <= 1, "{len}/{shards}: {sizes:?}");
-                }
-            }
-        }
+                x
+            })
+        })
+        .expect_err("the helper's panic must reach the caller");
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&"boom"));
     }
 
     #[test]

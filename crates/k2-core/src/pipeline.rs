@@ -3,57 +3,47 @@
 use crate::benchpoints::{benchmark_points, hwmt_order};
 use crate::candidates::candidate_clusters_pooled;
 use crate::config::K2Config;
-use crate::extend::{extend_left_tuned, extend_right_tuned};
+use crate::extend::{extend_directed, Direction};
 use crate::hwmt::mine_window_scratched;
 use crate::merge::merge_spanning_tuned;
-use crate::par::cluster_benchmark_snapshots;
-use crate::stats::{GridStats, PhaseTimings, PrefetchStats, PruningStats};
-use crate::validate::validate_tuned;
-use crate::ProbeScratch;
-use k2_model::{Convoy, ObjectSet};
+use crate::miner::{ConvoyMiner, MineError, MineOutcome, MineStats};
+use crate::par::{cluster_benchmark_snapshots, Executor, FanOut, Inline};
+use crate::stats::{GridStats, PruningStats};
+use crate::validate::validate_scratched;
+use k2_model::{Convoy, ConvoySet, ObjectSet, Time};
 use k2_storage::{SnapshotSource, StoreResult};
 use std::time::Instant;
 
 /// The k/2-hop miner. Construct with a validated [`K2Config`], then mine
 /// any [`SnapshotSource`] (a storage engine or a bare dataset) through
-/// [`ConvoyMiner::mine`](crate::ConvoyMiner).
+/// [`ConvoyMiner::mine`].
 ///
-/// Benchmark clustering — the only full-snapshot work in the algorithm and
-/// the largest phase of a sequential run (BENCH_2: ~33% of mine time) — is
-/// sharded across worker threads: snapshots are fetched from the store
-/// sequentially (I/O and statistics stay on the calling thread; stores use
-/// interior mutability and need not be `Sync`), then DBSCANed off an
-/// atomic work counter with one `GridScratch` per worker.
-/// [`K2Hop::new`] sizes the worker pool to the machine;
-/// [`K2Hop::with_threads`] pins it (1 = fully sequential). Clustering is
-/// deterministic, so the mined convoys are identical at every thread
-/// count.
+/// `threads` workers share the run. Benchmark clustering — the only
+/// full-snapshot work — always uses them: snapshots are fetched on the
+/// calling thread and DBSCANed by the workers. Steps 2–6 are ordered maps
+/// over independent items (hop-windows, merged convoys, candidates —
+/// §4.3 notes that hop-windows are mined independently of one another),
+/// and where they run depends on the source:
+///
+/// * a **resident** source ([`SnapshotSource::as_dataset`] returns the
+///   dataset, which is `Sync`) fans each step out over the workers;
+/// * any **other** source runs each step inline on the calling thread:
+///   the disk engines' buffer pools are not `Sync`, and their probes stay
+///   in the order of a single-threaded run.
+///
+/// Both executors make the same probes and count them the same way, so
+/// convoys, [`PruningStats`] and the seven phase timings are comparable
+/// across sources and thread counts. [`K2Hop::new`] sizes the worker
+/// count to the machine; [`K2Hop::with_threads`] pins it (1 = fully
+/// sequential).
 #[derive(Debug, Clone, Copy)]
 pub struct K2Hop {
     config: K2Config,
     threads: usize,
 }
 
-/// Everything a mining run produces.
-#[derive(Debug)]
-pub struct MiningResult {
-    /// Maximal fully-connected convoys, canonically sorted.
-    pub convoys: Vec<Convoy>,
-    /// Per-phase wall-clock timings (Figure 8i).
-    pub timings: PhaseTimings,
-    /// Data-pruning statistics (Table 5, Figure 8j).
-    pub pruning: PruningStats,
-    /// Memory discipline of the bounded hop-window prefetch — all-zero
-    /// for the sequential pipeline, which probes the store point by
-    /// point and never holds a slab.
-    pub prefetch: PrefetchStats,
-    /// Grid-reuse counters of the benchmark-clustering phase (patched vs
-    /// rebuilt snapshot grids).
-    pub grid: GridStats,
-}
-
 impl K2Hop {
-    /// Creates a miner with one clustering worker per available core.
+    /// Creates a miner with one worker per available core.
     pub fn new(config: K2Config) -> Self {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -61,8 +51,8 @@ impl K2Hop {
         Self::with_threads(config, threads)
     }
 
-    /// Creates a miner with an explicit benchmark-clustering worker count
-    /// (≥ 1; 1 runs the whole pipeline on the calling thread).
+    /// Creates a miner with an explicit worker count (≥ 1; 1 runs the
+    /// whole pipeline on the calling thread).
     pub fn with_threads(config: K2Config, threads: usize) -> Self {
         Self {
             config,
@@ -75,174 +65,182 @@ impl K2Hop {
         self.config
     }
 
-    /// The benchmark-clustering worker count.
+    /// The worker count.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Runs Algorithm 1 end to end — the legacy entry point.
+    /// Steps 2–6 of Algorithm 1 from the benchmark `clusters`, each
+    /// per-item step run by `exec`:
     ///
-    /// Deprecated in favour of the unified API: mine through
-    /// [`ConvoyMiner::mine`](crate::ConvoyMiner::mine) (or a
-    /// `MiningSession` from the `k2hop` facade), which returns a
-    /// [`MineOutcome`](crate::MineOutcome) with typed errors and the
-    /// source's I/O profile. This shim runs the identical pipeline — the
-    /// workspace parity suites pin old-vs-new equivalence.
-    #[deprecated(
-        since = "0.1.0",
-        note = "mine through `ConvoyMiner::mine` (or the `k2hop` facade's \
-                `MiningSession`), which returns a `MineOutcome`"
-    )]
-    pub fn mine<S: SnapshotSource + ?Sized>(&self, store: &S) -> StoreResult<MiningResult> {
-        self.mine_impl(store)
-    }
-
-    /// Algorithm 1 end to end:
-    ///
-    /// 1. cluster benchmark snapshots,
     /// 2. intersect adjacent benchmark cluster sets into candidates,
     /// 3. HWMT every hop-window (spanning convoys),
     /// 4. DCM-merge into maximal spanning convoys,
     /// 5. extend right then left (discarding convoys shorter than `k`),
     /// 6. validate into maximal fully-connected convoys.
-    pub(crate) fn mine_impl<S: SnapshotSource + ?Sized>(
+    fn finish<S, E>(
         &self,
-        store: &S,
-    ) -> StoreResult<MiningResult> {
+        exec: &E,
+        source: &S,
+        bench: &[Time],
+        clusters: &[Vec<ObjectSet>],
+        stats: &mut MineStats,
+    ) -> StoreResult<Vec<Convoy>>
+    where
+        S: SnapshotSource + ?Sized,
+        E: Executor<S>,
+    {
         let cfg = self.config;
         let params = cfg.dbscan();
-        let mut timings = PhaseTimings::default();
-        let mut pruning = PruningStats {
-            total_points: store.num_points(),
-            ..PruningStats::default()
-        };
-        let span = store.span();
-        if span.len() < cfg.k {
-            // No convoy of length k fits in the dataset.
-            return Ok(MiningResult {
-                convoys: Vec::new(),
-                timings,
-                pruning,
-                prefetch: PrefetchStats::default(),
-                grid: GridStats::default(),
-            });
-        }
+        let span = source.span();
+        let (timings, pruning) = (&mut stats.timings, &mut stats.pruning);
 
-        // Step 1: benchmark clusters (the only full-snapshot scans),
-        // through the shared zero-copy fetcher: the in-memory store hands
-        // out Arc-backed snapshot views (no clone per benchmark point),
-        // disk engines decode into a bounded ring of reused buffers.
+        // Step 2: candidate clusters per hop-window, interned through the
+        // scratch's set pool.
         let t0 = Instant::now();
-        let bench = benchmark_points(span, cfg.hop());
-        let bench_res = cluster_benchmark_snapshots(self.threads, &bench, params, |t, buf| {
-            store.scan_snapshot_ref(t, buf)
+        let pairs: Vec<&[Vec<ObjectSet>]> = clusters.windows(2).collect();
+        let ccs = exec.map(source, &pairs, |_, scratch, pair| {
+            let pool = scratch.cluster.pool_mut();
+            Ok(candidate_clusters_pooled(&pair[0], &pair[1], cfg.m, pool))
         })?;
-        let benchmark_clusters = bench_res.clusters;
-        pruning.benchmark_points += bench_res.points;
-        pruning.benchmark_timestamps = bench.len() as u32;
-        let grid = GridStats::from(bench_res.grid);
-        timings.benchmark = t0.elapsed();
-
-        // One probe scratch (buffers + set-interning pool) for steps 2–3:
-        // candidate sets intern against the clusters the HWMT probes emit,
-        // so a candidate that survives a probe intact costs no allocation
-        // and compares by pointer downstream.
-        let mut scratch = ProbeScratch::default();
-
-        // Step 2: candidate clusters per hop-window.
-        let t0 = Instant::now();
-        let ccs: Vec<Vec<ObjectSet>> = benchmark_clusters
-            .windows(2)
-            .map(|pair| {
-                candidate_clusters_pooled(&pair[0], &pair[1], cfg.m, scratch.cluster.pool_mut())
-            })
-            .collect();
         pruning.candidate_clusters = ccs.iter().map(|cc| cc.len() as u32).sum();
         timings.intersect = t0.elapsed();
 
-        // Step 3: HWMT per window. The interning pool is rotated per
-        // window: the repeats that matter (a candidate surviving every
-        // probe of its window) are within-window, and clearing bounds the
-        // pool to one window's distinct sets instead of pinning every
-        // cluster ever emitted until the run ends (outstanding handles
-        // stay valid through their `Arc`s).
+        // Step 3: HWMT per window, one union fetch per probed timestamp.
+        // The interning pool is rotated per window: the repeats that
+        // matter (a candidate surviving every probe of its window) are
+        // within-window, and clearing bounds the pool to one window's
+        // distinct sets (outstanding handles stay valid through their
+        // `Arc`s).
         let t0 = Instant::now();
-        let mut windows: Vec<Vec<Convoy>> = Vec::with_capacity(ccs.len());
-        for (i, cc) in ccs.iter().enumerate() {
+        let windows: Vec<(&[Time], &Vec<ObjectSet>)> = bench.windows(2).zip(&ccs).collect();
+        let mined = exec.map(source, &windows, |src, scratch, &(b, cc)| {
             scratch.cluster.pool_mut().clear();
-            let res = mine_window_scratched(
-                store,
-                params,
-                bench[i],
-                bench[i + 1],
-                cc,
-                hwmt_order,
-                &mut scratch,
-            )?;
-            pruning.hwmt_points += res.points_fetched;
-            pruning.spanning_convoys += res.spanning.len() as u32;
-            windows.push(res.spanning);
+            mine_window_scratched(src, params, b[0], b[1], cc, hwmt_order, scratch)
+        })?;
+        let mut spanning = Vec::with_capacity(mined.len());
+        for window in mined {
+            pruning.hwmt_points += window.points_fetched;
+            pruning.spanning_convoys += window.spanning.len() as u32;
+            let peak = &mut stats.prefetch.prefetch_bytes_peak;
+            *peak = (*peak).max(window.peak_fetch_bytes);
+            spanning.push(window.spanning);
         }
         timings.hwmt = t0.elapsed();
 
         // Step 4: merge into maximal spanning convoys.
         let t0 = Instant::now();
-        let merged = merge_spanning_tuned(&windows, cfg.m, cfg.convoyset);
+        let merged = merge_spanning_tuned(&spanning, cfg.m, cfg.convoyset);
         pruning.merged_convoys = merged.len() as u32;
         timings.merge = t0.elapsed();
 
-        // Step 5: extension (right, then left with the k filter).
+        // Step 5: extension — right over the merged set, then left (with
+        // the k filter) over the right results.
         let t0 = Instant::now();
-        let right = extend_right_tuned(store, params, merged, span.end, cfg.convoyset)?;
-        pruning.extend_points += right.points_fetched;
+        let dir = Direction::Right(span.end);
+        let right = extend_each(exec, source, merged, dir, cfg, &mut pruning.extend_points)?;
         timings.extend_right = t0.elapsed();
 
         let t0 = Instant::now();
-        let left = extend_left_tuned(
-            store,
-            params,
-            right.convoys,
-            span.start,
-            cfg.k,
-            cfg.convoyset,
-        )?;
-        pruning.extend_points += left.points_fetched;
+        let dir = Direction::Left(span.start, cfg.k);
+        let left = extend_each(exec, source, right, dir, cfg, &mut pruning.extend_points)?;
         timings.extend_left = t0.elapsed();
-        pruning.pre_validation_convoys = left.convoys.len() as u32;
+        pruning.pre_validation_convoys = left.len() as u32;
 
-        // Step 6: validation to fully-connected convoys.
+        // Step 6: validation per candidate, last to first (the order one
+        // shared validation queue pops them in), with the results merged.
         let t0 = Instant::now();
-        let validated = validate_tuned(store, params, cfg.k, left.convoys, cfg.convoyset)?;
-        pruning.validation_points += validated.points_fetched;
+        let mut candidates: Vec<Convoy> = left.into_iter().collect();
+        candidates.reverse();
+        let validated = exec.map(source, &candidates, |src, scratch, v| {
+            validate_scratched(src, params, cfg.k, [v.clone()], cfg.convoyset, scratch)
+        })?;
+        let mut fc = ConvoySet::with_tuning(cfg.convoyset);
+        for res in validated {
+            pruning.validation_points += res.points_fetched;
+            fc.merge(res.convoys);
+        }
         timings.validation = t0.elapsed();
-
-        Ok(MiningResult {
-            convoys: validated.convoys.into_sorted_vec(),
-            timings,
-            pruning,
-            prefetch: PrefetchStats::default(),
-            grid,
-        })
+        Ok(fc.into_sorted_vec())
     }
 }
 
-impl crate::ConvoyMiner for K2Hop {
+/// One extension pass with one seed per item. Merging the per-seed result
+/// sets in seed order builds exactly the set one pass over all the seeds
+/// would, in the same insertion order.
+fn extend_each<S, E>(
+    exec: &E,
+    source: &S,
+    seeds: ConvoySet,
+    dir: Direction,
+    cfg: K2Config,
+    fetched: &mut u64,
+) -> StoreResult<ConvoySet>
+where
+    S: SnapshotSource + ?Sized,
+    E: Executor<S>,
+{
+    let (params, tuning) = (cfg.dbscan(), cfg.convoyset);
+    let seeds: Vec<Convoy> = seeds.into_iter().collect();
+    let passes = exec.map(source, &seeds, |src, scratch, seed| {
+        extend_directed(src, params, [seed.clone()], dir, tuning, scratch)
+    })?;
+    let mut out = ConvoySet::with_tuning(tuning);
+    for pass in passes {
+        *fetched += pass.points_fetched;
+        out.merge(pass.convoys);
+    }
+    Ok(out)
+}
+
+impl ConvoyMiner for K2Hop {
     fn engine_name(&self) -> &'static str {
         "k2hop"
     }
 
-    fn mine(&self, source: &dyn SnapshotSource) -> Result<crate::MineOutcome, crate::MineError> {
-        let result = self.mine_impl(source)?;
-        Ok(crate::MineOutcome {
-            convoys: result.convoys,
-            stats: crate::MineStats {
-                engine: self.engine_name(),
-                threads: self.threads,
-                timings: result.timings,
-                pruning: result.pruning,
-                prefetch: result.prefetch,
-                grid: result.grid,
+    fn mine(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
+        let cfg = self.config;
+        let mut stats = MineStats {
+            engine: self.engine_name(),
+            threads: self.threads,
+            timings: Default::default(),
+            pruning: PruningStats {
+                total_points: source.num_points(),
+                ..PruningStats::default()
             },
+            prefetch: Default::default(),
+            grid: Default::default(),
+        };
+        let span = source.span();
+        let mut convoys = Vec::new();
+        // A span shorter than k holds no convoy.
+        if span.len() >= cfg.k {
+            // Step 1: benchmark clusters (the only full-snapshot scans),
+            // always through the source itself: the in-memory store hands
+            // out Arc-backed snapshot views, disk engines decode into a
+            // bounded ring of reused buffers.
+            let t0 = Instant::now();
+            let bench = benchmark_points(span, cfg.hop());
+            let step1 =
+                cluster_benchmark_snapshots(self.threads, &bench, cfg.dbscan(), |t, buf| {
+                    source.scan_snapshot_ref(t, buf)
+                })?;
+            stats.pruning.benchmark_points = step1.points;
+            stats.pruning.benchmark_timestamps = bench.len() as u32;
+            stats.grid = GridStats::from(step1.grid);
+            stats.timings.benchmark = t0.elapsed();
+
+            let clusters = &step1.clusters;
+            convoys = match source.as_dataset() {
+                Some(dataset) => {
+                    self.finish(&FanOut(self.threads), dataset, &bench, clusters, &mut stats)
+                }
+                None => self.finish(&Inline, source, &bench, clusters, &mut stats),
+            }?;
+        }
+        Ok(MineOutcome {
+            convoys,
+            stats,
             io: source.io_stats(),
         })
     }
@@ -278,10 +276,8 @@ mod tests {
         store_of(pts)
     }
 
-    fn mine(store: &InMemoryStore, m: usize, k: u32, eps: f64) -> MiningResult {
-        K2Hop::new(K2Config::new(m, k, eps).unwrap())
-            .mine_impl(store)
-            .unwrap()
+    fn mine(store: &InMemoryStore, m: usize, k: u32, eps: f64) -> MineOutcome {
+        ConvoyMiner::mine(&K2Hop::new(K2Config::new(m, k, eps).unwrap()), store).unwrap()
     }
 
     #[test]
@@ -366,10 +362,10 @@ mod tests {
         let store = simple_convoy(40);
         let res = mine(&store, 3, 20, 1.0);
         // hop = 10: benchmarks at 0, 10, 20, 30 — 4 timestamps of 5 points.
-        assert_eq!(res.pruning.benchmark_timestamps, 4);
-        assert_eq!(res.pruning.benchmark_points, 20);
+        assert_eq!(res.stats.pruning.benchmark_timestamps, 4);
+        assert_eq!(res.stats.pruning.benchmark_points, 20);
         // Noise objects never enter HWMT: 3 candidate objects per probe.
-        assert!(res.pruning.hwmt_points <= 3 * 36);
+        assert!(res.stats.pruning.hwmt_points <= 3 * 36);
     }
 
     #[test]
@@ -395,9 +391,9 @@ mod tests {
         let res = mine(&store, 3, 20, 1.0);
         assert_eq!(res.convoys.len(), 1);
         assert!(
-            res.pruning.pruning_ratio() > 0.7,
+            res.stats.pruning.pruning_ratio() > 0.7,
             "pruning ratio {} too low",
-            res.pruning.pruning_ratio()
+            res.stats.pruning.pruning_ratio()
         );
     }
 
@@ -452,7 +448,7 @@ mod tests {
     fn timings_are_populated() {
         let store = simple_convoy(30);
         let res = mine(&store, 3, 10, 1.0);
-        assert!(res.timings.total() > std::time::Duration::ZERO);
+        assert!(res.stats.timings.total() > std::time::Duration::ZERO);
     }
 
     #[test]

@@ -98,27 +98,18 @@ impl PruningStats {
     }
 }
 
-/// Memory discipline of the store path's hop-window prefetch — the
-/// bounded slab fetcher of
-/// [`K2HopParallel::mine_store`](crate::K2HopParallel::mine_store).
+/// How much store data the pipeline held at once while mining
+/// hop-windows.
 ///
-/// The counters are deterministic for a fixed source, configuration and
-/// shard count (they measure logical slab contents, not allocator
-/// behaviour), so CI can gate `prefetch_bytes_peak` against a committed
-/// ceiling. Engines and miners that never prefetch (the sequential
-/// pipeline, the dataset-resident fast path) report all-zero stats.
+/// HWMT fetches `DB[t]|∪survivors` — the union of a window's surviving
+/// candidates — once per probed timestamp; the peak is the largest such
+/// fetch. It is deterministic for a fixed source and configuration (it
+/// counts logical records, not allocator behaviour) and independent of
+/// the thread count, so CI can gate it against a committed ceiling.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchStats {
-    /// Peak bytes of hop-window slab data resident at once: the largest
-    /// `Σ points × sizeof(record)` over any temporal shard's slabs.
-    /// Bounded by `O(shard windows × window span × candidate union)`
-    /// instead of the old single-sweep `O(full span × union)`.
+    /// Bytes of the largest single per-timestamp union fetch.
     pub prefetch_bytes_peak: u64,
-    /// Hop-windows whose slab was actually fetched (degenerate `h = 1`
-    /// windows and windows without candidates fetch nothing).
-    pub windows_fetched: u32,
-    /// Temporal shards the hop-window list was processed in.
-    pub shards: u32,
 }
 
 /// Grid-reuse discipline of the benchmark-clustering phase — how often

@@ -43,23 +43,26 @@ pub fn validate<S: SnapshotSource + ?Sized>(
     min_len: u32,
     candidates: impl IntoIterator<Item = Convoy>,
 ) -> StoreResult<ValidateResult> {
-    validate_tuned(
+    validate_scratched(
         store,
         params,
         min_len,
         candidates,
         ConvoySetTuning::default(),
+        &mut ProbeScratch::default(),
     )
 }
 
-/// [`validate`] with explicit [`ConvoySetTuning`] for the maximal-FC
-/// result set (what the pipeline passes from `K2Config::convoyset`).
-pub fn validate_tuned<S: SnapshotSource + ?Sized>(
+/// [`validate`] reusing a caller-provided probe scratch; `tuning` shapes
+/// the maximal-FC result set (what the pipeline passes from
+/// `K2Config::convoyset`). Candidates are validated last to first.
+pub(crate) fn validate_scratched<S: SnapshotSource + ?Sized>(
     store: &S,
     params: DbscanParams,
     min_len: u32,
     candidates: impl IntoIterator<Item = Convoy>,
     tuning: ConvoySetTuning,
+    scratch: &mut ProbeScratch,
 ) -> StoreResult<ValidateResult> {
     let mut fetched = 0u64;
     let mut queue: Vec<Convoy> = candidates
@@ -67,12 +70,11 @@ pub fn validate_tuned<S: SnapshotSource + ?Sized>(
         .filter(|v| v.len() >= min_len)
         .collect();
     let mut fc = ConvoySet::with_tuning(tuning);
-    let mut scratch = ProbeScratch::default();
     while let Some(vin) = queue.pop() {
         // Per-candidate pool rotation: HWMT*'s probe repeats are within
         // one candidate's lifespan sweep; clearing bounds retention.
         scratch.cluster.pool_mut().clear();
-        let out = hwmt_star_scratched(store, params, min_len, &vin, &mut fetched, &mut scratch)?;
+        let out = hwmt_star_scratched(store, params, min_len, &vin, &mut fetched, scratch)?;
         if out.len() == 1 && out.contains(&vin) {
             fc.update(vin);
         } else {
@@ -128,84 +130,6 @@ fn hwmt_star_scratched<S: SnapshotSource + ?Sized>(
     fetched: &mut u64,
     scratch: &mut ProbeScratch,
 ) -> StoreResult<Vec<Convoy>> {
-    hwmt_star_with(params, min_len, v, |t, objects| {
-        let (clusters, n) = recluster_at_with(store, params, t, objects, scratch)?;
-        *fetched += n;
-        Ok(clusters)
-    })
-}
-
-/// Dataset-direct HWMT\* (used by the parallel miner, which holds an
-/// immutable [`Dataset`](k2_model::Dataset) instead of a store).
-pub fn hwmt_star_dataset(
-    dataset: &k2_model::Dataset,
-    params: DbscanParams,
-    min_len: u32,
-    v: &Convoy,
-) -> Vec<Convoy> {
-    hwmt_star_dataset_scratched(
-        dataset,
-        params,
-        min_len,
-        v,
-        &mut DatasetProbeScratch::default(),
-    )
-}
-
-/// Reusable buffers for the dataset-direct probe loops of the parallel
-/// miner (mirror of the store-path [`ProbeScratch`]).
-#[derive(Debug, Default)]
-pub(crate) struct DatasetProbeScratch {
-    pub(crate) positions: Vec<k2_model::ObjPos>,
-    pub(crate) cluster: k2_cluster::GridScratch,
-}
-
-/// [`hwmt_star_dataset`] reusing caller-provided scratch buffers.
-pub(crate) fn hwmt_star_dataset_scratched(
-    dataset: &k2_model::Dataset,
-    params: DbscanParams,
-    min_len: u32,
-    v: &Convoy,
-    scratch: &mut DatasetProbeScratch,
-) -> Vec<Convoy> {
-    // A dataset's `multi_get_into` is exactly `restrict_at_into`, so the
-    // source-generic engine below reproduces the dataset-direct probes
-    // bit for bit (and cannot fail).
-    let mut fetched = 0u64;
-    hwmt_star_source_scratched(dataset, params, min_len, v, &mut fetched, scratch)
-        .expect("dataset-direct clustering cannot fail")
-}
-
-/// HWMT\* probing any [`SnapshotSource`] through `multi_get_into` — the
-/// bounded re-fetch path of the parallel store miner's validation phase
-/// (probes are `DB[t]|O` restrictions, sorted-id point lookups, never
-/// full scans).
-pub(crate) fn hwmt_star_source_scratched<S: SnapshotSource + ?Sized>(
-    source: &S,
-    params: DbscanParams,
-    min_len: u32,
-    v: &Convoy,
-    fetched: &mut u64,
-    scratch: &mut DatasetProbeScratch,
-) -> StoreResult<Vec<Convoy>> {
-    hwmt_star_with(params, min_len, v, |t, objects| {
-        source.multi_get_into(t, objects.ids(), &mut scratch.positions)?;
-        *fetched += scratch.positions.len() as u64;
-        Ok(k2_cluster::recluster_with(
-            &scratch.positions,
-            params,
-            &mut scratch.cluster,
-        ))
-    })
-}
-
-/// The HWMT\* engine, generic over how `DB[t]|O` is clustered.
-fn hwmt_star_with(
-    params: DbscanParams,
-    min_len: u32,
-    v: &Convoy,
-    mut cluster_at: impl FnMut(Time, &ObjectSet) -> StoreResult<Vec<ObjectSet>>,
-) -> StoreResult<Vec<Convoy>> {
     let span = v.lifespan;
     if span.len() < min_len {
         return Ok(Vec::new());
@@ -215,7 +139,8 @@ fn hwmt_star_with(
     let mut clusters_at: HashMap<Time, Vec<ObjectSet>> = HashMap::new();
     let mut broken: Vec<Time> = Vec::new();
     for t in hwmt_star_order(span) {
-        let clusters = cluster_at(t, &v.objects)?;
+        let (clusters, n) = recluster_at_with(store, params, t, &v.objects, scratch)?;
+        *fetched += n;
         if clusters.is_empty() {
             broken.push(t);
             broken.sort_unstable();

@@ -101,7 +101,7 @@ impl std::ops::Deref for SnapshotRef<'_> {
 /// inside hop-windows. This trait is those two access paths (in their
 /// zero-copy / buffer-reusing forms) plus the span/size/IO metadata the
 /// miners report — nothing else. Every miner in the workspace
-/// ([`K2Hop`], [`K2HopParallel`], the baselines) is generic over
+/// ([`K2Hop`], the baselines) is generic over
 /// `SnapshotSource`, so one mining pipeline serves all four storage
 /// engines and bare datasets alike; `&dyn SnapshotSource` is the
 /// argument type of the unified `ConvoyMiner` trait.
@@ -111,7 +111,6 @@ impl std::ops::Deref for SnapshotRef<'_> {
 /// shared reference.
 ///
 /// [`K2Hop`]: https://docs.rs/k2-core
-/// [`K2HopParallel`]: https://docs.rs/k2-core
 pub trait SnapshotSource {
     /// The dataset's time span `[Ts, Te]`.
     fn span(&self) -> TimeInterval;
@@ -155,9 +154,10 @@ pub trait SnapshotSource {
 
     /// The fully-resident dataset behind this source, if there is one.
     ///
-    /// Parallel miners use this to keep the in-memory fast path
-    /// zero-copy: when the source is (or wraps) a [`Dataset`], hop-window
-    /// probes read it directly instead of prefetching a restricted copy.
+    /// `K2Hop` uses this to choose its executor: a [`Dataset`] is `Sync`,
+    /// so the hop-window probes of a resident source read it directly and
+    /// fan out over the worker threads; every other source is probed on
+    /// the calling thread.
     fn as_dataset(&self) -> Option<&Dataset> {
         None
     }
@@ -272,7 +272,7 @@ impl<S: SnapshotSource> SnapshotSource for TimeRange<S> {
     }
 
     // as_dataset deliberately stays `None`: exposing the inner dataset
-    // would let parallel miners read around the time clamp.
+    // would let the miner's probes read around the time clamp.
 
     fn quiesce_maintenance(&self) -> StoreResult<()> {
         self.inner.quiesce_maintenance()

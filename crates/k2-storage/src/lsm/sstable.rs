@@ -198,12 +198,12 @@ impl BlockCache {
     /// Cache holding at most `cap` blocks across the default shard count.
     /// `cap == 0` disables caching entirely.
     pub fn new(cap: usize) -> Self {
-        Self::with_shards(cap, DEFAULT_SHARDS)
+        Self::sharded(cap, DEFAULT_SHARDS)
     }
 
     /// Cache holding at most `cap` blocks across (up to) `shards` shards.
     /// Exposed so tests can pin LRU behaviour with a single shard.
-    pub fn with_shards(cap: usize, shards: usize) -> Self {
+    pub fn sharded(cap: usize, shards: usize) -> Self {
         if cap == 0 {
             return Self {
                 shards: Box::from([]),
@@ -749,7 +749,7 @@ mod tests {
     #[test]
     fn replace_in_place_does_not_evict() {
         // Single shard so both keys share one LRU; the cache is full.
-        let c = BlockCache::with_shards(2, 1);
+        let c = BlockCache::sharded(2, 1);
         c.insert((1, 0), block(1));
         c.insert((1, 1), block(2));
         assert_eq!(c.len(), 2);
@@ -762,7 +762,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let c = BlockCache::with_shards(2, 1);
+        let c = BlockCache::sharded(2, 1);
         c.insert((1, 0), block(1));
         c.insert((1, 1), block(2));
         // Touch (1,0) so (1,1) becomes the LRU victim.
@@ -800,7 +800,7 @@ mod tests {
 
     #[test]
     fn evict_tables_only_touches_named_ids() {
-        let c = BlockCache::with_shards(16, 1);
+        let c = BlockCache::sharded(16, 1);
         for t in 1..=3u64 {
             for b in 0..3u32 {
                 c.insert((t, b), block(t as u8));

@@ -13,7 +13,7 @@
 
 use k2hop::baselines::sweep::SweepMiner;
 use k2hop::baselines::{cuts, dcm, spare, vcoda};
-use k2hop::core::{K2Config, K2HopParallel};
+use k2hop::core::K2Config;
 use k2hop::model::{codec, Dataset};
 use k2hop::server::{K2Service, Server};
 use k2hop::storage::{
@@ -49,8 +49,8 @@ usage:
   k2 convert <in> <out>
   k2 serve [file] --addr HOST:PORT [--dir D] [--workers N]
 
-algorithms (--algo): k2hop (default), k2hop-parallel, vcoda, vcoda-star,
-                     cmc, pccd, cuts, spare, dcm
+algorithms (--algo): k2hop (default), vcoda, vcoda-star, cmc, pccd,
+                     cuts, spare, dcm
 engines    (--engine): memory (default), flat, rdbms, lsmt
 patterns   (--pattern, unified algos only): convoy (default), flock
 files:     *.csv is CSV (oid,x,y,t); anything else is the binary format
@@ -194,9 +194,8 @@ fn mine(args: &[&String]) -> Result<(), String> {
     let eps: f64 = flag_parse(&flags, "eps", None)?;
     let algo = flags.get("algo").copied().unwrap_or("k2hop");
     let engine = flags.get("engine").copied().unwrap_or("memory");
-    // `--threads` defaults to 4 for the explicitly-parallel algorithms;
-    // the default k2hop engine auto-sizes to the machine unless the flag
-    // is actually passed.
+    // `--threads` defaults to 4 for the parallel baselines (spare, dcm);
+    // k2hop auto-sizes to the machine unless the flag is actually passed.
     let threads_flag: Option<usize> = match flags.get("threads") {
         Some(_) => Some(flag_parse(&flags, "threads", None)?),
         None => None,
@@ -224,9 +223,6 @@ fn mine(args: &[&String]) -> Result<(), String> {
                 session = session.threads(n);
             }
             Some(session)
-        }
-        "k2hop-parallel" => {
-            Some(MiningSession::new(config).engine(K2HopParallel::new(config, threads)))
         }
         "cmc" => Some(MiningSession::new(config).engine(SweepMiner::cmc(config))),
         "pccd" => Some(MiningSession::new(config).engine(SweepMiner::pccd(config))),

@@ -51,10 +51,10 @@
 //! assert!(outcome.stats.pruning.pruning_ratio() > 0.5);
 //! ```
 //!
-//! Engines are interchangeable behind [`ConvoyMiner`]:
+//! A session runs any engine behind [`ConvoyMiner`]; the k/2-hop engine
+//! mines the same convoys at every thread count:
 //!
 //! ```
-//! use k2hop::core::K2HopParallel;
 //! use k2hop::prelude::*;
 //!
 //! let dataset = k2hop::datagen::ConvoyInjector::new(200, 40)
@@ -63,9 +63,9 @@
 //!     .generate();
 //! let config = K2Config::new(4, 10, 1.5).expect("valid parameters");
 //!
-//! let sequential = MiningSession::new(config).mine(&dataset).unwrap();
+//! let sequential = MiningSession::new(config).threads(1).mine(&dataset).unwrap();
 //! let parallel = MiningSession::new(config)
-//!     .engine(K2HopParallel::new(config, 4))
+//!     .engine(K2Hop::with_threads(config, 4))
 //!     .mine(&dataset)
 //!     .unwrap();
 //! assert_eq!(sequential.convoys, parallel.convoys);
@@ -92,9 +92,7 @@ pub use session::{MiningSession, PatternKind};
 pub mod prelude {
     pub use crate::session::{MiningSession, PatternKind};
     pub use k2_cluster::{dbscan, DbscanParams};
-    pub use k2_core::{
-        ConvoyMiner, K2Config, K2Hop, MineError, MineOutcome, MineStats, MiningResult,
-    };
+    pub use k2_core::{ConvoyMiner, K2Config, K2Hop, MineError, MineOutcome, MineStats};
     pub use k2_model::{
         Convoy, ConvoySet, Dataset, DatasetBuilder, ObjPos, ObjectSet, Oid, Point, SetId, SetPool,
         Snapshot, Time, TimeInterval,

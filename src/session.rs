@@ -1,8 +1,8 @@
 //! The unified front door: [`MiningSession`] builds a configured mining
 //! run and executes it against any data source.
 //!
-//! One session type fronts every engine ([`K2Hop`], [`K2HopParallel`],
-//! the baselines — anything implementing [`ConvoyMiner`]), every storage
+//! One session type fronts every engine ([`K2Hop`], the baselines —
+//! anything implementing [`ConvoyMiner`]), every storage
 //! backend (all four engines plus bare [`Dataset`]s, via
 //! [`SnapshotSource`]), and every supported pattern kind
 //! ([`PatternKind`]). This is the API the examples, the CLI, and the
@@ -51,14 +51,13 @@ pub enum PatternKind {
 /// assert!(outcome.convoys.len() >= 2);
 /// ```
 ///
-/// The defaults mine [`PatternKind::Convoy`] with the sequential
-/// [`K2Hop`] engine, one clustering worker per core. Everything is
-/// overridable:
+/// The defaults mine [`PatternKind::Convoy`] with the [`K2Hop`] engine,
+/// one worker per core. Everything is overridable:
 ///
 /// * [`threads`](Self::threads) pins the worker count of the default
 ///   engine,
-/// * [`engine`](Self::engine) swaps in any [`ConvoyMiner`] (e.g.
-///   [`K2HopParallel`](crate::core::K2HopParallel) or a baseline),
+/// * [`engine`](Self::engine) swaps in any [`ConvoyMiner`] (e.g. a
+///   baseline, or a [`K2Hop`] built elsewhere),
 /// * [`pattern`](Self::pattern) switches the pattern kind.
 ///
 /// [`mine`](Self::mine) accepts `&dyn SnapshotSource`: a bare
@@ -133,9 +132,8 @@ impl MiningSession {
     /// Runs the session against `source`.
     ///
     /// Deterministic for a fixed source and configuration; the
-    /// golden-output and API-parity suites pin that the default session
-    /// reproduces the legacy `K2Hop::mine` / `K2HopParallel::mine`
-    /// results byte for byte.
+    /// golden-output and API-parity suites pin the default session's
+    /// convoys byte for byte on every engine and thread count.
     pub fn mine(&self, source: &dyn SnapshotSource) -> Result<MineOutcome, MineError> {
         match self.pattern {
             PatternKind::Convoy => match &self.engine {
@@ -214,7 +212,6 @@ fn materialize(source: &dyn SnapshotSource) -> Result<Dataset, MineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::K2HopParallel;
     use crate::prelude::*;
 
     fn dataset() -> Dataset {
@@ -241,13 +238,17 @@ mod tests {
         let cfg = K2Config::new(3, 10, 1.0).unwrap();
         let default = MiningSession::new(cfg).threads(2).mine(&d).unwrap();
         assert_eq!(default.stats.threads, 2);
-        let parallel = MiningSession::new(cfg)
-            .engine(K2HopParallel::new(cfg, 3))
+        let explicit = MiningSession::new(cfg)
+            .engine(K2Hop::with_threads(cfg, 3))
+            .threads(1)
             .mine(&d)
             .unwrap();
-        assert_eq!(parallel.stats.engine, "k2hop-parallel");
-        assert_eq!(parallel.stats.threads, 3);
-        assert_eq!(parallel.convoys, default.convoys);
+        assert_eq!(explicit.stats.engine, "k2hop");
+        assert_eq!(
+            explicit.stats.threads, 3,
+            "an explicit engine keeps its own"
+        );
+        assert_eq!(explicit.convoys, default.convoys);
     }
 
     #[test]
@@ -261,7 +262,7 @@ mod tests {
         let d = dataset();
         let cfg = K2Config::new(3, 10, 1.0).unwrap();
         let err = MiningSession::new(cfg)
-            .engine(K2HopParallel::new(cfg, 2))
+            .engine(K2Hop::with_threads(cfg, 2))
             .pattern(PatternKind::Flock)
             .mine(&d)
             .unwrap_err();

@@ -1,15 +1,12 @@
 //! API parity: the unified `MiningSession`/`ConvoyMiner` surface must
-//! reproduce the legacy `K2Hop::mine` / `K2HopParallel::mine` results
-//! *byte for byte* — on the golden Brinkhoff/Trucks/T-Drive fixtures,
-//! across all four storage engines, at several thread counts.
+//! reproduce the committed `tests/golden/*.golden` files *byte for byte*
+//! — on the golden Brinkhoff/Trucks/T-Drive fixtures, across all four
+//! storage engines and a bare dataset, at several thread counts.
 //!
-//! Together with `tests/golden_convoys.rs` (which pins the legacy entry
-//! points against the committed `tests/golden/*.golden` files) this
-//! proves the deprecation shims are pure renames: old API == new API ==
-//! committed goldens.
-#![allow(deprecated)] // the point of this suite is old-vs-new equivalence
+//! `tests/golden_convoys.rs` pins the miner itself against the same
+//! files; this suite pins the session front door and every engine.
 
-use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
+use k2hop::core::{ConvoyMiner, K2Config, K2Hop};
 use k2hop::datagen::brinkhoff::BrinkhoffConfig;
 use k2hop::datagen::tdrive::TDriveConfig;
 use k2hop::datagen::trucks::TrucksConfig;
@@ -84,23 +81,20 @@ fn golden(name: &str) -> String {
     })
 }
 
-/// For one fixture: legacy sequential == session(sequential) ==
-/// session(parallel) on every storage engine at ≥ 2 thread counts, and
-/// all of it byte-identical to the committed golden file.
+/// For one fixture: the session's convoys on every storage engine at
+/// several thread counts, through the default engine and an explicit
+/// one, are all byte-identical to the committed golden file, and every
+/// source reports the same hop-window fetch peak.
 fn check_fixture(name: &str, dataset: Dataset, cfg: K2Config) {
-    // Legacy baselines (deprecated entry points).
     let store = InMemoryStore::new(dataset.clone());
-    let legacy_seq = K2Hop::with_threads(cfg, 1).mine(&store).unwrap().convoys;
-    let legacy_par = K2HopParallel::new(cfg, 4).mine(&dataset);
+    let reference = MiningSession::new(cfg).threads(1).mine(&store).unwrap();
     assert_eq!(
-        legacy_par, legacy_seq,
-        "{name}: legacy parallel vs sequential"
-    );
-    assert_eq!(
-        render(&legacy_seq),
+        render(&reference.convoys),
         golden(name),
-        "{name}: legacy output diverged from the committed golden file"
+        "{name}: output diverged from the committed golden file"
     );
+    let peak = reference.stats.prefetch;
+    assert!(peak.prefetch_bytes_peak > 0, "{name}: HWMT fetched nothing");
 
     let dir = std::env::temp_dir().join(format!("k2-api-parity-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -116,63 +110,30 @@ fn check_fixture(name: &str, dataset: Dataset, cfg: K2Config) {
         ("lsmt", &lsm),
     ];
 
-    // Temporal sharding is output-invariant: every shard count must
-    // reproduce the same golden bytes on every engine, and every
-    // non-resident engine must go through the bounded hop-window
-    // prefetch (observable in the counters).
-    for shards in [1usize, 2, 4] {
-        for (engine_name, source) in engines {
-            let outcome = MiningSession::new(cfg)
-                .engine(K2HopParallel::new(cfg, 4).with_shards(shards))
-                .mine(source)
-                .unwrap();
-            assert_eq!(
-                render(&outcome.convoys),
-                golden(name),
-                "{name}: sharded output diverged from the golden file \
-                 ({engine_name}, {shards} shards)"
-            );
-            let p = outcome.stats.prefetch;
-            if matches!(engine_name, "flat" | "rdbms" | "lsmt") {
-                assert!(
-                    p.prefetch_bytes_peak > 0 && p.windows_fetched > 0,
-                    "{name}: {engine_name} must prefetch through the slab path"
-                );
-                assert_eq!(p.shards, shards as u32, "{name}: {engine_name}");
-            } else {
-                assert_eq!(
-                    p,
-                    Default::default(),
-                    "{name}: resident {engine_name} must not prefetch"
-                );
-            }
-        }
-    }
-
     for threads in [1usize, 4] {
         for (engine_name, source) in engines {
-            // New API, sequential engine.
+            // The default engine, pinned to `threads`.
             let outcome = MiningSession::new(cfg)
                 .threads(threads)
                 .mine(source)
                 .unwrap();
             assert_eq!(
-                outcome.convoys, legacy_seq,
+                outcome.convoys, reference.convoys,
                 "{name}: session/k2hop on {engine_name} at {threads} threads"
             );
-            // New API, parallel engine over the same source.
+            assert_eq!(
+                outcome.stats.prefetch, peak,
+                "{name}: fetch peak on {engine_name} at {threads} threads"
+            );
+            // The same miner handed to the session explicitly.
             let outcome = MiningSession::new(cfg)
-                .engine(K2HopParallel::new(cfg, threads))
+                .engine(K2Hop::with_threads(cfg, threads))
                 .mine(source)
                 .unwrap();
             assert_eq!(
-                outcome.convoys, legacy_seq,
-                "{name}: session/k2hop-parallel on {engine_name} at {threads} threads"
-            );
-            assert_eq!(
                 render(&outcome.convoys),
                 golden(name),
-                "{name}: new-API output diverged from the golden file \
+                "{name}: explicit-engine output diverged from the golden file \
                  ({engine_name}, {threads} threads)"
             );
         }
@@ -205,11 +166,13 @@ fn dyn_miners_over_dyn_sources() {
     let (dataset, cfg) = brinkhoff();
     let store = InMemoryStore::new(dataset.clone());
     let miners: Vec<Box<dyn ConvoyMiner>> = vec![
+        Box::new(K2Hop::with_threads(cfg, 1)),
         Box::new(K2Hop::with_threads(cfg, 2)),
-        Box::new(K2HopParallel::new(cfg, 2)),
     ];
     let sources: [&dyn SnapshotSource; 2] = [&dataset, &store];
-    let expect = K2Hop::with_threads(cfg, 1).mine(&store).unwrap().convoys;
+    let expect = ConvoyMiner::mine(&K2Hop::with_threads(cfg, 1), &store)
+        .unwrap()
+        .convoys;
     for miner in &miners {
         for source in sources {
             let outcome = miner.mine(source).unwrap();

@@ -50,7 +50,7 @@ fn generate_stats_mine_convert_round_trip() {
     assert!(out.contains("timestamps      : 90"), "{out}");
 
     // Mining finds the two planted convoys with every algorithm we probe.
-    for algo in ["k2hop", "vcoda-star", "k2hop-parallel"] {
+    for algo in ["k2hop", "vcoda-star"] {
         let out = run_ok(k2().args([
             "mine",
             bin.to_str().unwrap(),
@@ -66,6 +66,27 @@ fn generate_stats_mine_convert_round_trip() {
         ]));
         assert!(out.starts_with("2 convoys"), "{algo}: {out}");
     }
+
+    // The thread count changes nothing but the speed: the listed convoys
+    // (every line after the timing summary) are identical.
+    let listing = |threads: &str| {
+        let out = run_ok(k2().args([
+            "mine",
+            bin.to_str().unwrap(),
+            "--m",
+            "3",
+            "--k",
+            "25",
+            "--eps",
+            "1.0",
+            "--threads",
+            threads,
+        ]));
+        let (summary, convoys) = out.split_once('\n').expect("summary line");
+        assert!(summary.starts_with("2 convoys"), "{threads} threads: {out}");
+        convoys.to_string()
+    };
+    assert_eq!(listing("3"), listing("1"));
 
     // Engine variants agree too.
     for engine in ["rdbms", "lsmt"] {
@@ -127,5 +148,6 @@ fn bad_usage_fails_with_help() {
 fn help_prints_usage() {
     let out = run_ok(k2().arg("help"));
     assert!(out.contains("usage"));
-    assert!(out.contains("k2hop-parallel"));
+    assert!(out.contains("--threads"));
+    assert!(!out.contains("k2hop-parallel"));
 }

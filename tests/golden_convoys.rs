@@ -4,10 +4,11 @@
 //! coordinates), Trucks depot runs and T-Drive taxi platoons (both
 //! lat/lon degree coordinates, which also pin the geo-scale CSR grid
 //! path) — are mined end to end and the *full* sorted convoy output is
-//! asserted against committed expectations under `tests/golden/`. Both
-//! the sequential miner (at several worker counts) and the parallel miner
-//! must reproduce the files bit for bit, so a future refactor cannot
-//! silently change mining results and still pass CI.
+//! asserted against committed expectations under `tests/golden/`. The
+//! miner must reproduce the files bit for bit at every worker count, on
+//! a resident source (steps fanned out over the workers) and on an
+//! opaque one (steps run inline, as for the disk engines), so a future
+//! refactor cannot silently change mining results and still pass CI.
 //!
 //! To regenerate after an *intentional* semantic change:
 //!
@@ -18,14 +19,7 @@
 //! and commit the diff under `tests/golden/` together with the change
 //! that explains it.
 
-// The deprecated `K2Hop::mine` / `K2HopParallel::mine` shims are called
-// deliberately: this suite pins the legacy entry points against the
-// committed golden files, while `tests/api_parity.rs` pins the new
-// `MiningSession`/`ConvoyMiner` API against the same files — together
-// they prove old-vs-new equivalence.
-#![allow(deprecated)]
-
-use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
+use k2hop::core::{ConvoyMiner, K2Config, K2Hop};
 use k2hop::datagen::brinkhoff::BrinkhoffConfig;
 use k2hop::datagen::tdrive::TDriveConfig;
 use k2hop::datagen::trucks::TrucksConfig;
@@ -34,8 +28,8 @@ use k2hop::storage::{InMemoryStore, IoStats, SnapshotRef, SnapshotSource, StoreR
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// Hides the resident dataset so the miner takes the store path — the
-/// bounded hop-window slab prefetch — without any disk I/O in the loop.
+/// Hides the resident dataset so the miner takes the store path — every
+/// step inline on the calling thread — without any disk I/O in the loop.
 struct OpaqueSource(InMemoryStore);
 
 impl SnapshotSource for OpaqueSource {
@@ -83,44 +77,31 @@ fn render(convoys: &[Convoy]) -> String {
     s
 }
 
-/// Mines `dataset` with the sequential miner at several worker counts and
-/// the parallel miner at several worker counts, asserts they all agree,
-/// and diffs the canonical output against `tests/golden/<name>.golden`.
+/// Mines `dataset` at several worker counts, from the resident dataset
+/// and from an opaque store, asserts they all agree, and diffs the
+/// canonical output against `tests/golden/<name>.golden`.
 fn golden_check(name: &str, dataset: Dataset, cfg: K2Config) {
-    let store = InMemoryStore::new(dataset.clone());
-    let sequential = K2Hop::with_threads(cfg, 1)
-        .mine(&store)
-        .expect("in-memory mining cannot fail")
+    let opaque = OpaqueSource(InMemoryStore::new(dataset.clone()));
+    let sequential = ConvoyMiner::mine(&K2Hop::with_threads(cfg, 1), &opaque)
+        .expect("opaque in-memory mining cannot fail")
         .convoys;
     assert!(
         !sequential.is_empty(),
         "{name}: golden workload must contain convoys"
     );
-    for threads in [2usize, 5] {
-        let got = K2Hop::with_threads(cfg, threads)
-            .mine(&store)
-            .expect("in-memory mining cannot fail")
-            .convoys;
-        assert_eq!(got, sequential, "{name}: K2Hop with {threads} threads");
-    }
-    for threads in [1usize, 4] {
-        let got = K2HopParallel::new(cfg, threads).mine(&dataset);
-        assert_eq!(
-            got, sequential,
-            "{name}: K2HopParallel with {threads} threads"
-        );
-    }
-    // The bounded hop-window prefetch with temporal sharding must
-    // reproduce the same bytes at every shard count.
-    let opaque = OpaqueSource(InMemoryStore::new(dataset.clone()));
-    for shards in [1usize, 2, 4] {
-        let got = ConvoyMiner::mine(&K2HopParallel::new(cfg, 4).with_shards(shards), &opaque)
-            .expect("opaque in-memory mining cannot fail")
-            .convoys;
-        assert_eq!(
-            got, sequential,
-            "{name}: K2HopParallel store path with {shards} shards"
-        );
+    let sources: [&dyn SnapshotSource; 2] = [&dataset, &opaque];
+    for threads in [1usize, 2, 4, 8] {
+        for source in sources {
+            let got = ConvoyMiner::mine(&K2Hop::with_threads(cfg, threads), source)
+                .expect("in-memory mining cannot fail")
+                .convoys;
+            assert_eq!(
+                got,
+                sequential,
+                "{name}: K2Hop on {} with {threads} threads",
+                source.name()
+            );
+        }
     }
 
     let rendered = render(&sequential);

@@ -1,17 +1,59 @@
-//! Parallel k/2-hop (§7 future work) — equivalence with the sequential
-//! pipeline on realistic workloads.
+//! Parallel k/2-hop (§7 future work): `K2Hop` mines the same convoys,
+//! and counts the same work, at every thread count and on every source.
 
-use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
+use k2hop::core::{ConvoyMiner, K2Config, K2Hop, MineOutcome};
 use k2hop::datagen::{tdrive::TDriveConfig, trucks::TrucksConfig, ConvoyInjector};
-use k2hop::storage::InMemoryStore;
+use k2hop::model::{Convoy, Dataset, ObjPos, Oid, Time, TimeInterval};
+use k2hop::storage::{
+    FlatFileStore, InMemoryStore, IoStats, LsmStore, RelationalStore, SnapshotRef, SnapshotSource,
+    StoreResult,
+};
+use std::time::Duration;
 
-fn sequential(d: &k2hop::model::Dataset, m: usize, k: u32, eps: f64) -> Vec<k2hop::model::Convoy> {
-    ConvoyMiner::mine(
-        &K2Hop::new(K2Config::new(m, k, eps).unwrap()),
-        &InMemoryStore::new(d.clone()),
-    )
-    .unwrap()
-    .convoys
+/// Hides the resident dataset, so the miner runs its steps inline on the
+/// calling thread, as it does for the disk engines.
+struct OpaqueSource(InMemoryStore);
+
+impl SnapshotSource for OpaqueSource {
+    fn span(&self) -> TimeInterval {
+        self.0.span()
+    }
+    fn num_points(&self) -> u64 {
+        self.0.num_points()
+    }
+    fn scan_snapshot_ref<'a>(
+        &self,
+        t: Time,
+        buf: &'a mut Vec<ObjPos>,
+    ) -> StoreResult<SnapshotRef<'a>> {
+        self.0.scan_snapshot_ref(t, buf)
+    }
+    fn multi_get_into(&self, t: Time, oids: &[Oid], out: &mut Vec<ObjPos>) -> StoreResult<()> {
+        self.0.multi_get_into(t, oids, out)
+    }
+    fn io_stats(&self) -> IoStats {
+        self.0.io_stats()
+    }
+    fn name(&self) -> &'static str {
+        "opaque"
+    }
+}
+
+fn mine(source: &dyn SnapshotSource, cfg: K2Config, threads: usize) -> MineOutcome {
+    ConvoyMiner::mine(&K2Hop::with_threads(cfg, threads), source).unwrap()
+}
+
+/// The single-threaded inline mine every other run must reproduce.
+fn sequential(d: &Dataset, m: usize, k: u32, eps: f64) -> Vec<Convoy> {
+    let cfg = K2Config::new(m, k, eps).unwrap();
+    mine(&OpaqueSource(InMemoryStore::new(d.clone())), cfg, 1).convoys
+}
+
+fn tmp_dir(salt: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("k2par-{salt}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 #[test]
@@ -23,11 +65,9 @@ fn parallel_equals_sequential_on_injected_workloads() {
             .generate();
         let expect = sequential(&d, 3, 20, 1.0);
         assert!(!expect.is_empty());
+        let cfg = K2Config::new(3, 20, 1.0).unwrap();
         for threads in [1usize, 2, 8] {
-            let cfg = K2Config::new(3, 20, 1.0).unwrap();
-            let got = ConvoyMiner::mine(&K2HopParallel::new(cfg, threads), &d)
-                .unwrap()
-                .convoys;
+            let got = mine(&d, cfg, threads).convoys;
             assert_eq!(got, expect, "seed {seed}, {threads} threads");
         }
     }
@@ -39,12 +79,7 @@ fn parallel_equals_sequential_on_trucks() {
     let (m, k, eps) = (3usize, 300u32, 6.0e-5);
     let expect = sequential(&d, m, k, eps);
     let cfg = K2Config::new(m, k, eps).unwrap();
-    assert_eq!(
-        ConvoyMiner::mine(&K2HopParallel::new(cfg, 4), &d)
-            .unwrap()
-            .convoys,
-        expect
-    );
+    assert_eq!(mine(&d, cfg, 4).convoys, expect);
 }
 
 #[test]
@@ -53,18 +88,11 @@ fn parallel_equals_sequential_on_tdrive() {
     let (m, k, eps) = (3usize, 40u32, 6.0e-4);
     let expect = sequential(&d, m, k, eps);
     let cfg = K2Config::new(m, k, eps).unwrap();
-    assert_eq!(
-        ConvoyMiner::mine(&K2HopParallel::new(cfg, 4), &d)
-            .unwrap()
-            .convoys,
-        expect
-    );
+    assert_eq!(mine(&d, cfg, 4).convoys, expect);
 }
 
 #[test]
 fn parallel_mines_from_all_four_storage_engines() {
-    use k2hop::storage::{FlatFileStore, LsmStore, RelationalStore};
-
     let d = ConvoyInjector::new(60, 60)
         .convoys(3, 4, 30)
         .seed(11)
@@ -73,36 +101,22 @@ fn parallel_mines_from_all_four_storage_engines() {
     assert!(!expect.is_empty());
     let cfg = K2Config::new(3, 16, 1.0).unwrap();
 
-    let dir = std::env::temp_dir().join(format!("k2par-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmp_dir("store");
     let mem = InMemoryStore::new(d.clone());
     let flat = FlatFileStore::create(dir.join("data.bin"), &d).unwrap();
     let btree = RelationalStore::create(dir.join("data.k2bt"), &d).unwrap();
     let lsm = LsmStore::bulk_load(dir.join("lsm"), &d).unwrap();
+    let engines: [&dyn SnapshotSource; 4] = [&mem, &flat, &btree, &lsm];
 
     for threads in [1usize, 4] {
-        let miner = K2HopParallel::new(cfg, threads);
-        assert_eq!(
-            miner.mine_store(&mem).unwrap().convoys,
-            expect,
-            "in-memory, {threads} threads"
-        );
-        assert_eq!(
-            miner.mine_store(&flat).unwrap().convoys,
-            expect,
-            "flat file, {threads} threads"
-        );
-        assert_eq!(
-            miner.mine_store(&btree).unwrap().convoys,
-            expect,
-            "b+tree, {threads} threads"
-        );
-        assert_eq!(
-            miner.mine_store(&lsm).unwrap().convoys,
-            expect,
-            "lsm, {threads} threads"
-        );
+        for source in engines {
+            assert_eq!(
+                mine(source, cfg, threads).convoys,
+                expect,
+                "{}, {threads} threads",
+                source.name()
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -115,10 +129,41 @@ fn oversubscribed_thread_count_is_harmless() {
         .generate();
     let cfg = K2Config::new(3, 10, 1.0).unwrap();
     let expect = sequential(&d, 3, 10, 1.0);
-    assert_eq!(
-        ConvoyMiner::mine(&K2HopParallel::new(cfg, 64), &d)
-            .unwrap()
-            .convoys,
-        expect
-    );
+    assert_eq!(mine(&d, cfg, 64).convoys, expect);
+}
+
+#[test]
+fn counters_do_not_depend_on_the_source() {
+    // Resident sources (the dataset, the in-memory store) fan steps 2-6
+    // out; the opaque wrapper and the LSM store run them inline. Both
+    // executors must make the same probes, so every pruning counter and
+    // the fetch peak agree, and both must time all seven phases.
+    let d = ConvoyInjector::new(80, 120)
+        .convoys(4, 4, 50)
+        .seed(17)
+        .generate();
+    let cfg = K2Config::new(3, 20, 1.0).unwrap();
+    let dir = tmp_dir("counters");
+    let mem = InMemoryStore::new(d.clone());
+    let opaque = OpaqueSource(InMemoryStore::new(d.clone()));
+    let lsm = LsmStore::bulk_load(dir.join("lsm"), &d).unwrap();
+    let sources: [&dyn SnapshotSource; 4] = [&d, &mem, &opaque, &lsm];
+
+    let reference = mine(&d, cfg, 1);
+    assert!(!reference.convoys.is_empty());
+    assert!(reference.stats.pruning.pre_validation_convoys > 0);
+    for threads in [1usize, 4] {
+        for source in sources {
+            let outcome = mine(source, cfg, threads);
+            let what = format!("{}, {threads} threads", source.name());
+            assert_eq!(outcome.convoys, reference.convoys, "{what}");
+            assert_eq!(outcome.stats.pruning, reference.stats.pruning, "{what}");
+            assert_eq!(outcome.stats.prefetch, reference.stats.prefetch, "{what}");
+            for (phase, took) in outcome.stats.timings.rows() {
+                assert!(took > Duration::ZERO, "{what}: phase {phase} untimed");
+            }
+        }
+    }
+    assert!(reference.stats.prefetch.prefetch_bytes_peak > 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }

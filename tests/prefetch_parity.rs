@@ -1,12 +1,11 @@
-//! Property tests for the bounded hop-window prefetch: on random
-//! workloads, the windowed slab store path must equal the resident
-//! dataset fast path and the sequential reference miner — on all four
-//! storage engines, at several shard counts — and the peak prefetch
-//! residency must stay within the `O(window x threads)` bound the
-//! design promises.
+//! Property tests for the store path of `K2Hop`: on random workloads,
+//! mining any of the four storage engines at any thread count must equal
+//! the resident dataset mine, and the hop-window fetches must stay within
+//! one snapshot — HWMT holds one per-timestamp union fetch at a time, so
+//! its peak is bounded by the largest snapshot, never the span.
 
-use k2hop::core::{ConvoyMiner, K2Config, K2Hop, K2HopParallel};
-use k2hop::model::{Convoy, Dataset, ObjPos, Point};
+use k2hop::core::{ConvoyMiner, K2Config, K2Hop};
+use k2hop::model::{Dataset, ObjPos, Point};
 use k2hop::storage::{FlatFileStore, InMemoryStore, LsmStore, RelationalStore, SnapshotSource};
 use proptest::prelude::*;
 
@@ -31,10 +30,6 @@ fn tmp(salt: &str) -> std::path::PathBuf {
     d
 }
 
-fn mine_seq(store: &InMemoryStore, cfg: K2Config) -> Vec<Convoy> {
-    ConvoyMiner::mine(&K2Hop::new(cfg), store).unwrap().convoys
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -48,48 +43,31 @@ proptest! {
             return Ok(());
         };
         let cfg = K2Config::new(m, k, 1.5).unwrap();
-        let store = InMemoryStore::new(dataset.clone());
-        let reference = mine_seq(&store, cfg);
+        let resident = ConvoyMiner::mine(&K2Hop::with_threads(cfg, 1), &dataset).unwrap();
+        let bound = dataset.stats().max_snapshot_size as u64 * std::mem::size_of::<ObjPos>() as u64;
+        prop_assert!(resident.stats.prefetch.prefetch_bytes_peak <= bound);
 
         let dir = tmp("engines");
+        let store = InMemoryStore::new(dataset.clone());
         let flat = FlatFileStore::create(dir.join("data.bin"), &dataset).unwrap();
         let btree = RelationalStore::create(dir.join("data.k2bt"), &dataset).unwrap();
         let lsm = LsmStore::bulk_load(dir.join("lsm"), &dataset).unwrap();
         let engines: [&dyn SnapshotSource; 4] = [&store, &flat, &btree, &lsm];
 
         for threads in [1usize, 3] {
-            // Resident fast path.
-            let miner = K2HopParallel::new(cfg, threads);
-            prop_assert_eq!(&ConvoyMiner::mine(&miner, &dataset).unwrap().convoys, &reference);
             for source in engines {
-                for shards in [1usize, 2, 4] {
-                    let miner = K2HopParallel::new(cfg, threads).with_shards(shards);
-                    let outcome = ConvoyMiner::mine(&miner, source).unwrap();
-                    prop_assert_eq!(
-                        &outcome.convoys, &reference,
-                        "{} threads {} shards {}", source.name(), threads, shards
-                    );
-                    // Disk engines go through the slab prefetch; its peak
-                    // must respect the per-shard residency bound.
-                    if source.as_dataset().is_none() && outcome.stats.prefetch.windows_fetched > 0 {
-                        let h = (k / 2) as u64;
-                        // At most ceil(span/h)+1 hop windows exist; one
-                        // shard holds at most its even share of them.
-                        let num_windows_ub = (dataset.span().len() as u64).div_ceil(h) + 1;
-                        let windows_resident = num_windows_ub.div_ceil(shards as u64);
-                        let bound = windows_resident
-                            * (h + 1)
-                            * 12
-                            * std::mem::size_of::<ObjPos>() as u64;
-                        prop_assert!(
-                            outcome.stats.prefetch.prefetch_bytes_peak <= bound,
-                            "{}: peak {} > bound {}",
-                            source.name(),
-                            outcome.stats.prefetch.prefetch_bytes_peak,
-                            bound
-                        );
-                    }
-                }
+                let miner = K2Hop::with_threads(cfg, threads);
+                let outcome = ConvoyMiner::mine(&miner, source).unwrap();
+                prop_assert_eq!(
+                    &outcome.convoys, &resident.convoys,
+                    "{} threads {}", source.name(), threads
+                );
+                // The peak is one union fetch: the same on every engine
+                // and at every thread count, and within one snapshot.
+                prop_assert_eq!(
+                    outcome.stats.prefetch, resident.stats.prefetch,
+                    "{} threads {}", source.name(), threads
+                );
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
