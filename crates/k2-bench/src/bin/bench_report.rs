@@ -57,8 +57,8 @@ use k2_datagen::ConvoyInjector;
 use k2_model::Point;
 use k2_server::{K2Service, LocalClient, Pattern, Request, Response, WireConvoy};
 use k2_storage::{
-    CompactionPolicy, InMemoryStore, IoStats, LsmConfig, LsmStore, SharedLsm, SnapshotSource,
-    TrajectoryStore, KEY_SIZE, VAL_SIZE,
+    CompactionPolicy, InMemoryStore, IoStats, LsmConfig, LsmStore, SnapshotSource, KEY_SIZE,
+    VAL_SIZE,
 };
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -178,13 +178,13 @@ fn mine_runs(store: &InMemoryStore, config: K2Config, runs: usize) -> (f64, Mine
     let mut samples = Vec::with_capacity(runs);
     let mut snapshot_io = IoStats::default();
     for i in 0..runs {
-        store.reset_io_stats();
+        let before = store.io_stats();
         let start = Instant::now();
         let outcome = ConvoyMiner::mine(&miner, store).expect("in-memory mining cannot fail");
         let secs = start.elapsed().as_secs_f64();
         // Identical every run (mining is deterministic); recorded so the
         // report proves the zero-copy benchmark-scan path held.
-        snapshot_io = outcome.io;
+        snapshot_io = outcome.io.since(&before);
         eprintln!(
             "run {}/{}: {secs:.3}s, {} convoys",
             i + 1,
@@ -325,7 +325,7 @@ fn ingest_point(i: u64) -> Point {
 fn run_ingest_side(dir: &std::path::Path, config: LsmConfig, points: u64) -> IngestSide {
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).expect("ingest temp dir");
-    let mut store = LsmStore::create_with(dir, config).expect("create ingest store");
+    let store = LsmStore::create_with(dir, config).expect("create ingest store");
     let mut lat_nanos = Vec::with_capacity(points as usize);
     let t0 = Instant::now();
     for i in 0..points {
@@ -405,7 +405,7 @@ fn run_ingest(args: &Args) -> IngestSection {
     // fixed snapshot slate twice — the second pass measures residency.
     let _ = std::fs::remove_dir_all(&tmp);
     std::fs::create_dir_all(&tmp).expect("ingest temp dir");
-    let mut store = LsmStore::create_with(
+    let store = LsmStore::create_with(
         &tmp,
         LsmConfig {
             compaction: CompactionPolicy::Tiered,
@@ -418,15 +418,15 @@ fn run_ingest(args: &Args) -> IngestSection {
         store.insert(ingest_point(i)).expect("insert");
     }
     store.flush().expect("final flush");
-    store.reset_io_stats();
+    let loaded = store.io_stats();
     let max_t = (points / 300) as u32;
     let mut buf = Vec::new();
     for _pass in 0..2 {
         for t in (0..max_t).step_by(16) {
-            store.scan_snapshot_into(t, &mut buf).expect("scan");
+            store.scan_snapshot_ref(t, &mut buf).expect("scan");
         }
     }
-    let probe = store.io_stats();
+    let probe = store.io_stats().since(&loaded);
     drop(store);
     let _ = std::fs::remove_dir_all(&tmp);
 
@@ -506,7 +506,7 @@ fn run_serving(args: &Args) -> ServingSection {
     // Same LSM shape as the ingest section's background leg, so the
     // insert-latency-under-load percentiles are comparable with the
     // unloaded ones measured there.
-    let store = SharedLsm::bulk_load_with(
+    let store = LsmStore::bulk_load_with(
         &dir,
         &dataset,
         LsmConfig {
@@ -520,7 +520,8 @@ fn run_serving(args: &Args) -> ServingSection {
     )
     .expect("bulk load serving store");
     drop(dataset);
-    let service = Arc::new(K2Service::new(store.clone()));
+    let service = Arc::new(K2Service::new(store));
+    let store = service.store();
     let client = LocalClient::new(Arc::clone(&service), SERVE_MINERS);
     let mine_req = |t_hi: u32, threads: u32| Request::MineRange {
         t_lo: 0,
@@ -598,7 +599,6 @@ fn run_serving(args: &Args) -> ServingSection {
     store
         .quiesce_maintenance()
         .expect("drain serving compactions");
-    drop(store);
     drop(client);
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);

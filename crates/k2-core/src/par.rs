@@ -174,7 +174,7 @@ impl<S: SnapshotSource + Sync + ?Sized> Executor<S> for FanOut {
 ///
 /// `fetch` resolves one benchmark timestamp to a [`SnapshotRef`], filling
 /// the passed buffer only when the engine cannot share its storage (see
-/// `TrajectoryStore::scan_snapshot_ref`). Fetching stays on the calling
+/// `SnapshotSource::scan_snapshot_ref`). Fetching stays on the calling
 /// thread, in ascending time order (store I/O and its statistics are
 /// single-threaded, so stores need not be `Sync`, and a sequential engine
 /// such as the flat file never rewinds).

@@ -9,7 +9,7 @@
 use crate::pool::WorkerPool;
 use crate::protocol::{Request, Response};
 use crate::server::roundtrip;
-use crate::service::K2Service;
+use crate::service::{handle_on, K2Service};
 use crate::ServerError;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -70,8 +70,7 @@ impl LocalClient {
     /// decoding through the wire codec.
     pub fn request(&self, req: &Request) -> Result<Response, ServerError> {
         let decoded = Request::decode(&req.encode())?;
-        let service = Arc::clone(&self.service);
-        let reply = self.pool.run(move || service.handle(decoded));
+        let reply = handle_on(&self.pool, &self.service, decoded);
         Response::decode(&reply.encode())
     }
 }

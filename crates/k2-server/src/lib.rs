@@ -6,8 +6,8 @@
 //! snapshot.
 //!
 //! The crate is a thin front end over the MVCC substrate in
-//! `k2-storage` ([`SharedLsm`](k2_storage::SharedLsm) /
-//! [`StorePin`](k2_storage::StorePin)):
+//! `k2-storage`: one `&self` [`LsmStore`](k2_storage::LsmStore) that
+//! ingests and hands out [`StorePin`](k2_storage::StorePin)s:
 //!
 //! * [`protocol`] — a length-prefixed binary request protocol
 //!   ([`Request::MineRange`], [`Request::Ingest`], [`Request::Stats`])
@@ -18,7 +18,8 @@
 //!   with convoys + per-phase timings + exactly the I/O that request
 //!   caused;
 //! * [`Server`] — TCP accept loop + thread-per-connection framing, with
-//!   all request bodies executed on a fixed [`WorkerPool`];
+//!   all request bodies executed on a fixed [`WorkerPool`] (a handler
+//!   that panics becomes [`Response::Error`]; its worker lives on);
 //! * [`TcpClient`] / [`LocalClient`] — a socket client and an
 //!   in-process client that still round-trips the wire codec.
 //!
@@ -39,10 +40,10 @@
 //!
 //! ```no_run
 //! use k2_server::{K2Service, LocalClient, Pattern, Request, Response};
-//! use k2_storage::{LsmConfig, SharedLsm};
+//! use k2_storage::{LsmConfig, LsmStore};
 //! use std::sync::Arc;
 //!
-//! let store = SharedLsm::create_with("/tmp/k2-serve", LsmConfig::default())?;
+//! let store = LsmStore::create_with("/tmp/k2-serve", LsmConfig::default())?;
 //! let service = Arc::new(K2Service::new(store));
 //! let client = LocalClient::new(service, 4);
 //! let reply = client.request(&Request::MineRange {

@@ -1,16 +1,19 @@
 //! A fixed-size worker pool: requests are executed off the connection
 //! threads so N connections contend for `workers` mining slots instead
-//! of spawning unbounded work.
+//! of spawning unbounded work. A panicking job is caught on its worker,
+//! so one bad request never shrinks the pool.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A fixed-size thread pool. Jobs run in submission order as workers
-/// free up; dropping the pool finishes queued jobs and joins every
-/// worker.
+/// free up; a job that panics is caught and its worker takes the next
+/// one. Dropping the pool finishes queued jobs and joins every worker.
 #[derive(Debug)]
 pub struct WorkerPool {
     jobs: Option<Sender<Job>>,
@@ -36,7 +39,9 @@ impl WorkerPool {
                             guard.recv()
                         };
                         match job {
-                            Ok(job) => job(),
+                            Ok(job) => {
+                                let _ = panic::catch_unwind(AssertUnwindSafe(job));
+                            }
                             Err(_) => break, // queue hung up
                         }
                     })
@@ -64,13 +69,28 @@ impl WorkerPool {
     }
 
     /// Runs `job` on a worker and blocks for its result — the
-    /// request/response shape both clients use.
-    pub fn run<R: Send + 'static>(&self, job: impl FnOnce() -> R + Send + 'static) -> R {
-        let (tx, rx): (Sender<R>, Receiver<R>) = channel();
+    /// request/response shape both clients use. A job that panics
+    /// returns `Err` with the panic message; the worker survives.
+    pub fn run<R: Send + 'static>(
+        &self,
+        job: impl FnOnce() -> R + Send + 'static,
+    ) -> Result<R, String> {
+        let (tx, rx) = channel::<Result<R, String>>();
         self.execute(move || {
-            let _ = tx.send(job());
+            let _ = tx.send(panic::catch_unwind(AssertUnwindSafe(job)).map_err(panic_message));
         });
         rx.recv().expect("pool job completes")
+    }
+}
+
+/// The message of a caught panic payload (`panic!` with a literal or a
+/// formatted string); anything else is reported generically.
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map_or_else(|| "non-string panic payload".to_string(), |s| s.to_string()),
     }
 }
 
@@ -105,6 +125,16 @@ mod tests {
     #[test]
     fn run_returns_the_job_result() {
         let pool = WorkerPool::new(2);
-        assert_eq!(pool.run(|| 6 * 7), 42);
+        assert_eq!(pool.run(|| 6 * 7), Ok(42));
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_kill_its_worker() {
+        let pool = WorkerPool::new(1);
+        let err = pool.run(|| -> u32 { panic!("bad request {}", 7) });
+        assert_eq!(err, Err("bad request 7".to_string()));
+        pool.execute(|| panic!("fire and forget"));
+        // The one worker survived both panics.
+        assert_eq!(pool.run(|| 42), Ok(42));
     }
 }

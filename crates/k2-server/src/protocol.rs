@@ -21,6 +21,18 @@ use std::io::{Read, Write};
 /// allocated (64 MiB — far above any legitimate message).
 pub const MAX_FRAME: u32 = 64 << 20;
 
+/// [`read_frame`] grows a payload buffer by at most this much per read,
+/// so memory follows the bytes that actually arrive, not the length a
+/// header claims.
+const READ_CHUNK: usize = 64 << 10;
+
+/// Wire size of one [`Request::Ingest`] point: oid, t, x, y.
+const POINT_WIRE: usize = 4 + 4 + 8 + 8;
+/// Smallest wire size of one [`WireConvoy`]: oid count, t_start, t_end.
+const CONVOY_WIRE: usize = 4 + 4 + 4;
+/// Wire size of one convoy member oid.
+const OID_WIRE: usize = 4;
+
 const REQ_MINE: u8 = 1;
 const REQ_INGEST: u8 = 2;
 const REQ_STATS: u8 = 3;
@@ -214,6 +226,12 @@ impl<'a> Cursor<'a> {
             .map_err(|_| ServerError::protocol("invalid UTF-8 in string"))
     }
 
+    /// Capacity for `n` claimed elements of `wire` bytes each, capped by
+    /// what the rest of the payload could actually hold.
+    fn capacity(&self, n: usize, wire: usize) -> usize {
+        n.min((self.buf.len() - self.pos) / wire)
+    }
+
     fn finish(self) -> Result<(), ServerError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -333,7 +351,7 @@ impl Request {
             }
             REQ_INGEST => {
                 let n = c.u32()? as usize;
-                let mut points = Vec::with_capacity(n.min(1 << 20));
+                let mut points = Vec::with_capacity(c.capacity(n, POINT_WIRE));
                 for _ in 0..n {
                     let oid = c.u32()?;
                     let t = c.u32()?;
@@ -418,10 +436,10 @@ impl Response {
                 }
                 let io = get_io(&mut c)?;
                 let n = c.u32()? as usize;
-                let mut convoys = Vec::with_capacity(n.min(1 << 20));
+                let mut convoys = Vec::with_capacity(c.capacity(n, CONVOY_WIRE));
                 for _ in 0..n {
                     let len = c.u32()? as usize;
-                    let mut oids = Vec::with_capacity(len.min(1 << 20));
+                    let mut oids = Vec::with_capacity(c.capacity(len, OID_WIRE));
                     for _ in 0..len {
                         oids.push(c.u32()?);
                     }
@@ -481,6 +499,11 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ServerError
 
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean EOF
 /// at a frame boundary (the peer hung up between requests).
+///
+/// The payload buffer starts at `min(len, 64 KiB)` and grows as bytes
+/// arrive, each read asking for at most 64 KiB more: a header that
+/// claims a large frame and then stalls or hangs up costs one chunk,
+/// not the claimed length.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ServerError> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
@@ -497,8 +520,18 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ServerError> {
     if len > MAX_FRAME {
         return Err(ServerError::protocol(format!("oversized frame: {len}")));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(start + (len - start).min(READ_CHUNK), 0);
+        match r.read(&mut payload[start..]) {
+            Ok(0) => return Err(ServerError::protocol("EOF inside frame payload")),
+            Ok(n) => payload.truncate(start + n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => payload.truncate(start),
+            Err(e) => return Err(e.into()),
+        }
+    }
     Ok(Some(payload))
 }
 
@@ -607,5 +640,64 @@ mod tests {
         // EOF mid-header is an error, not a clean end.
         let mut torn = &buf[..2];
         assert!(read_frame(&mut torn).is_err());
+        // So is EOF mid-payload.
+        let mut cut = &buf[..6];
+        assert!(read_frame(&mut cut).is_err());
+    }
+
+    /// A reader that records the largest buffer it is handed.
+    struct Recording<'a> {
+        bytes: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_huge_claimed_frame_costs_one_chunk() {
+        let header = MAX_FRAME.to_le_bytes();
+        let mut r = Recording {
+            bytes: &header,
+            largest: 0,
+        };
+        assert!(read_frame(&mut r).is_err());
+        assert!(r.largest <= READ_CHUNK, "handed {} bytes", r.largest);
+        // A frame larger than one chunk still arrives whole.
+        let payload: Vec<u8> = (0..3 * READ_CHUNK + 5).map(|i| i as u8).collect();
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &payload).unwrap();
+        let mut r = Recording {
+            bytes: &framed,
+            largest: 0,
+        };
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), payload);
+        assert!(r.largest <= READ_CHUNK);
+    }
+
+    #[test]
+    fn short_frames_claiming_huge_counts_are_rejected() {
+        let mut ingest = vec![REQ_INGEST];
+        put_u32(&mut ingest, u32::MAX);
+        ingest.extend_from_slice(&[0; POINT_WIRE]);
+        assert!(Request::decode(&ingest).is_err());
+        let mut convoys = Response::Convoys(MineReply {
+            engine: String::new(),
+            threads: 0,
+            pin_version: 0,
+            staleness: 0,
+            elapsed_nanos: 0,
+            timings_nanos: [0; 7],
+            io: IoStats::default(),
+            convoys: Vec::new(),
+        })
+        .encode();
+        let n_at = convoys.len() - 4;
+        convoys[n_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Response::decode(&convoys).is_err());
     }
 }

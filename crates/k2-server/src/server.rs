@@ -8,7 +8,7 @@
 
 use crate::pool::WorkerPool;
 use crate::protocol::{read_frame, write_frame, Request, Response};
-use crate::service::K2Service;
+use crate::service::{handle_on, K2Service};
 use crate::ServerError;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -121,10 +121,7 @@ fn serve_connection(mut stream: TcpStream, service: &Arc<K2Service>, pool: &Work
         // A malformed request poisons only this one reply, not the
         // connection: the framing layer is still in sync.
         let response = match Request::decode(&payload) {
-            Ok(req) => {
-                let service = Arc::clone(service);
-                pool.run(move || service.handle(req))
-            }
+            Ok(req) => handle_on(pool, service, req),
             Err(e) => Response::Error {
                 message: e.to_string(),
             },

@@ -1,18 +1,21 @@
 //! [`K2Service`]: the request handler both transports share.
 //!
-//! Each `MineRange` request pins its own MVCC snapshot ([`SharedLsm::pin`]),
+//! Each `MineRange` request pins its own MVCC snapshot
+//! ([`LsmStore::pin_snapshot`]),
 //! clamps it to the requested time range ([`TimeRange`]), and runs a
 //! mining session against the pinned view — so any number of mine
 //! requests proceed concurrently with each other and with live ingest,
 //! each seeing exactly the store contents at its own pin instant and
 //! reporting exactly its own I/O.
 
+use crate::pool::WorkerPool;
 use crate::protocol::{MineReply, Pattern, Request, Response, StatsReply, WireConvoy};
 use k2_core::{ConvoyMiner, K2Config, K2Hop, MineError, MineOutcome, MineStats};
 use k2_model::{Convoy, Dataset, ObjPos, Snapshot};
 use k2_patterns::{FlockConfig, FlockMiner};
-use k2_storage::{SharedLsm, SnapshotSource, StorePin, TimeRange};
+use k2_storage::{LsmStore, SnapshotSource, StorePin, TimeRange};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The [`Request::MineRange`] fields, regrouped for the handler.
@@ -26,25 +29,25 @@ struct MineParams {
     threads: u32,
 }
 
-/// The shared request handler: owns the store handle and serves
-/// [`Request`]s from any number of threads.
+/// The shared request handler: owns the store and serves [`Request`]s
+/// from any number of threads.
 #[derive(Debug)]
 pub struct K2Service {
-    store: SharedLsm,
+    store: LsmStore,
     requests: AtomicU64,
 }
 
 impl K2Service {
-    /// Wraps a shared store.
-    pub fn new(store: SharedLsm) -> Self {
+    /// Serves `store`.
+    pub fn new(store: LsmStore) -> Self {
         Self {
             store,
             requests: AtomicU64::new(0),
         }
     }
 
-    /// The underlying store handle (cloneable).
-    pub fn store(&self) -> &SharedLsm {
+    /// The served store.
+    pub fn store(&self) -> &LsmStore {
         &self.store
     }
 
@@ -106,7 +109,7 @@ impl K2Service {
         let start = Instant::now();
         // Pin once: the request's whole view of the data, isolated from
         // every concurrent insert/flush/compaction.
-        let pin = match self.store.pin() {
+        let pin = match self.store.pin_snapshot() {
             Ok(p) => p,
             Err(e) => {
                 return Response::Error {
@@ -161,16 +164,15 @@ impl K2Service {
     fn ingest(&self, points: Vec<k2_model::Point>) -> Response {
         let count = points.len() as u64;
         // One writer-lock acquisition for the whole batch.
-        let mut store = self.store.lock();
-        for p in points {
-            if let Err(e) = store.insert(p) {
-                return Response::Error {
-                    message: e.to_string(),
-                };
-            }
+        match self.store.insert_batch(points) {
+            Ok(()) => Response::Ingested {
+                count,
+                version: self.store.version(),
+            },
+            Err(e) => Response::Error {
+                message: e.to_string(),
+            },
         }
-        let version = store.version();
-        Response::Ingested { count, version }
     }
 
     fn stats(&self, quiesce: bool) -> Response {
@@ -181,25 +183,27 @@ impl K2Service {
                 };
             }
         }
-        let (num_points, num_tables, memtable_len, maintenance_depth) = {
-            let store = self.store.lock();
-            (
-                store.num_points(),
-                store.num_tables() as u64,
-                store.memtable_len() as u64,
-                store.compaction_queue_depth() as u64,
-            )
-        };
         Response::Stats(StatsReply {
-            num_points,
-            num_tables,
-            memtable_len,
+            num_points: self.store.num_points(),
+            num_tables: self.store.num_tables() as u64,
+            memtable_len: self.store.memtable_len() as u64,
             version: self.store.version(),
             live_pins: self.store.live_pins(),
-            maintenance_depth,
+            maintenance_depth: self.store.compaction_queue_depth() as u64,
             requests_served: self.requests_served(),
         })
     }
+}
+
+/// Handles `req` on a `pool` worker — the one dispatch path of the TCP
+/// server and [`LocalClient`](crate::LocalClient). A handler that
+/// panics becomes [`Response::Error`] and its worker lives on.
+pub(crate) fn handle_on(pool: &WorkerPool, service: &Arc<K2Service>, req: Request) -> Response {
+    let service = Arc::clone(service);
+    pool.run(move || service.handle(req))
+        .unwrap_or_else(|panic| Response::Error {
+            message: format!("request handler panicked: {panic}"),
+        })
 }
 
 fn wire_convoy(c: &Convoy) -> WireConvoy {

@@ -24,7 +24,7 @@
 
 use crate::iostats::IoCounters;
 use crate::keys::{decode_key, decode_val, encode_key, encode_val, KEY_SIZE, VAL_SIZE};
-use crate::{IoStats, SnapshotRef, SnapshotSource, StoreError, StoreResult, TrajectoryStore};
+use crate::{IoStats, SnapshotRef, SnapshotSource, StoreError, StoreResult};
 use k2_model::{Dataset, ObjPos, Oid, Time, TimeInterval};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -71,7 +71,7 @@ impl Default for BTreeConfig {
 /// A read-only, bulk-loaded clustered B+tree store.
 ///
 /// ```
-/// use k2_storage::{RelationalStore, TrajectoryStore};
+/// use k2_storage::{RelationalStore, SnapshotSource};
 /// use k2_model::{Dataset, Point};
 ///
 /// let dataset = Dataset::from_points(&[
@@ -486,9 +486,15 @@ impl SnapshotSource for RelationalStore {
         t: Time,
         buf: &'a mut Vec<ObjPos>,
     ) -> StoreResult<SnapshotRef<'a>> {
-        // Disk engine: records are decoded into the caller's reused
-        // buffer (one copy, no fresh allocation per scan).
-        self.scan_snapshot_into(t, buf)?;
+        self.io.add_range_query();
+        self.io.add_snapshot_copied();
+        // Disk engine: leaf entries decode straight into the caller's
+        // reused buffer; one buffer serves every benchmark snapshot a
+        // worker scans.
+        buf.clear();
+        self.scan_key_range(encode_key(t, 0), encode_key(t, Oid::MAX), |_, p| {
+            buf.push(p)
+        })?;
         Ok(SnapshotRef::Buffered(buf))
     }
 
@@ -541,43 +547,6 @@ impl SnapshotSource for RelationalStore {
 
     fn name(&self) -> &'static str {
         "k2-rdbms"
-    }
-}
-
-impl TrajectoryStore for RelationalStore {
-    fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::new();
-        self.scan_snapshot_into(t, &mut out)?;
-        Ok(out)
-    }
-
-    fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.io.add_range_query();
-        self.io.add_snapshot_copied();
-        // Leaf entries decode straight into the caller's buffer; one
-        // buffer serves every benchmark snapshot a worker scans.
-        out.clear();
-        self.scan_key_range(encode_key(t, 0), encode_key(t, Oid::MAX), |_, p| {
-            out.push(p)
-        })?;
-        Ok(())
-    }
-
-    fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::with_capacity(oids.len());
-        self.multi_get_into(t, oids, &mut out)?;
-        Ok(out)
-    }
-
-    fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.io.add_point_query();
-        let key = encode_key(t, oid);
-        let page = self.find_leaf(&key)?;
-        Ok(Self::leaf_lookup(&page, &key).map(|(x, y)| ObjPos::new(oid, x, y)))
-    }
-
-    fn reset_io_stats(&self) {
-        self.io.reset()
     }
 }
 
@@ -640,7 +609,6 @@ mod tests {
     fn buffer_pool_caches_hot_pages() {
         let d = toy_dataset();
         let store = RelationalStore::create(tmp("pool.k2bt"), &d).unwrap();
-        store.reset_io_stats();
         let _ = store.point_get(10, 1).unwrap();
         let cold = store.io_stats();
         let _ = store.point_get(10, 2).unwrap();
@@ -656,11 +624,11 @@ mod tests {
         let oids: Vec<Oid> = vec![1, 2, 3];
         let mut out = Vec::new();
         store.multi_get_into(0, &oids, &mut out).unwrap();
-        store.reset_io_stats();
+        let before = store.io_stats();
         // Same key neighbourhood: the retained leaf spans the first key,
         // so no page is touched at all — not even pool-cached ones.
         store.multi_get_into(0, &oids, &mut out).unwrap();
-        let s = store.io_stats();
+        let s = store.io_stats().since(&before);
         assert_eq!(out.len(), oids.len());
         assert_eq!(s.blocks_read, 0, "no disk reads");
         assert_eq!(s.cache_hits, 1, "one retained-leaf hit, no pool probes");

@@ -3,7 +3,6 @@
 use crate::iostats::IoCounters;
 use crate::{
     InMemoryStore, IoStats, MemoryBudget, SnapshotRef, SnapshotSource, StoreError, StoreResult,
-    TrajectoryStore,
 };
 use k2_model::codec::{decode_record, RECORD_SIZE};
 use k2_model::{codec, Dataset, ObjPos, Oid, Point, Time, TimeInterval};
@@ -279,9 +278,15 @@ impl SnapshotSource for FlatFileStore {
         t: Time,
         buf: &'a mut Vec<ObjPos>,
     ) -> StoreResult<SnapshotRef<'a>> {
-        // Disk engine: records are decoded into the caller's reused
-        // buffer (one copy, no fresh allocation per scan).
-        self.scan_snapshot_into(t, buf)?;
+        self.io.add_range_query();
+        self.io.add_snapshot_copied();
+        // Disk engine: the record scan decodes straight into the
+        // caller's reused buffer — a benchmark-clustering worker reuses
+        // one buffer for every snapshot this engine serves it — resuming
+        // from the sequential cursor on ascending scans (the
+        // benchmark-point pattern).
+        buf.clear();
+        self.scan_at(t, |p| buf.push(p.pos()))?;
         Ok(SnapshotRef::Buffered(buf))
     }
 
@@ -308,52 +313,6 @@ impl SnapshotSource for FlatFileStore {
 
     fn name(&self) -> &'static str {
         "k2-file"
-    }
-}
-
-impl TrajectoryStore for FlatFileStore {
-    fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::new();
-        self.scan_snapshot_into(t, &mut out)?;
-        Ok(out)
-    }
-
-    fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.io.add_range_query();
-        self.io.add_snapshot_copied();
-        // The record scan decodes straight into the caller's buffer — a
-        // benchmark-clustering worker reuses one buffer for every
-        // snapshot this engine serves it — resuming from the sequential
-        // cursor on ascending scans (the benchmark-point pattern).
-        out.clear();
-        self.scan_at(t, |p| out.push(p.pos()))?;
-        Ok(())
-    }
-
-    fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::with_capacity(oids.len());
-        self.multi_get_into(t, oids, &mut out)?;
-        Ok(out)
-    }
-
-    fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.io.add_point_query();
-        let mut found = None;
-        self.scan_from_start(|p| {
-            if p.t > t || (p.t == t && p.oid > oid) {
-                return false;
-            }
-            if p.t == t && p.oid == oid {
-                found = Some(p.pos());
-                return false;
-            }
-            true
-        })?;
-        Ok(found)
-    }
-
-    fn reset_io_stats(&self) {
-        self.io.reset()
     }
 }
 
@@ -416,9 +375,9 @@ mod tests {
     fn scans_are_counted_as_sequential_io() {
         let d = toy_dataset();
         let store = FlatFileStore::create(tmpdir().join("io.bin"), &d).unwrap();
-        store.reset_io_stats();
+        let before = store.io_stats();
         let _ = store.scan_snapshot(49).unwrap();
-        let s = store.io_stats();
+        let s = store.io_stats().since(&before);
         // One rewind seek; whole file read in chunks.
         assert_eq!(s.seeks, 1);
         assert!(s.bytes_read >= d.num_points() * RECORD_SIZE as u64);
@@ -457,14 +416,14 @@ mod tests {
         let file_bytes = d.num_points() * RECORD_SIZE as u64;
         assert!(file_bytes > SCAN_CHUNK as u64, "test premise");
         let store = FlatFileStore::create(tmpdir().join("cursor.bin"), &d).unwrap();
-        store.reset_io_stats();
+        let before = store.io_stats();
         let oids: Vec<Oid> = (0..100).step_by(7).collect();
         let mut out = Vec::new();
         for t in d.span().iter() {
             store.multi_get_into(t, &oids, &mut out).unwrap();
             assert_eq!(out.len(), oids.len(), "t {t}");
         }
-        let s = store.io_stats();
+        let s = store.io_stats().since(&before);
         // One sequential pass — not a from-the-start rescan per
         // timestamp (which would be ~30x the file size here). The slop
         // term covers chunk-boundary partial records re-read on resume.

@@ -89,7 +89,7 @@ pub struct IoCounters {
     /// accounting had not caught up with (or vice versa); per-request
     /// stats served under concurrent readers need `hits + misses` to be
     /// exactly the number of block requests observed. 2^32 events per
-    /// side is orders of magnitude beyond any bench run between resets.
+    /// side is orders of magnitude beyond any bench run.
     cache_hits_misses: AtomicU64,
     bytes_read: AtomicU64,
     point_queries: AtomicU64,
@@ -131,12 +131,8 @@ impl IoCounters {
         bump(&self.cache_hits_misses, 1);
     }
 
-    pub(crate) fn add_point_query(&self) {
-        bump(&self.point_queries, 1);
-    }
-
-    /// Bulk form of [`add_point_query`](Self::add_point_query) — one
-    /// atomic round-trip for a whole sorted-probe `multi_get` batch.
+    /// Counts `n` point queries — one atomic round-trip for a whole
+    /// sorted-probe `multi_get` batch.
     pub(crate) fn add_point_queries(&self, n: u64) {
         bump(&self.point_queries, n);
     }
@@ -197,24 +193,6 @@ impl IoCounters {
             bytes_compacted: get(&self.bytes_compacted),
         }
     }
-
-    /// Zeroes all counters.
-    pub fn reset(&self) {
-        let zero = |c: &AtomicU64| c.store(0, Ordering::Relaxed);
-        zero(&self.seeks);
-        zero(&self.blocks_read);
-        zero(&self.cache_hits_misses);
-        zero(&self.bytes_read);
-        zero(&self.point_queries);
-        zero(&self.range_queries);
-        zero(&self.bloom_negatives);
-        zero(&self.snapshots_shared);
-        zero(&self.snapshots_copied);
-        zero(&self.wal_appends);
-        zero(&self.wal_replayed);
-        zero(&self.compactions);
-        zero(&self.bytes_compacted);
-    }
 }
 
 /// An upper bound on in-memory loading, in bytes.
@@ -271,14 +249,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_reset() {
+    fn counters_accumulate() {
         let c = IoCounters::new();
         c.add_seek();
         c.add_block_read(4096);
         c.add_block_read(4096);
         c.add_cache_hit();
         c.add_cache_miss();
-        c.add_point_query();
+        c.add_point_queries(1);
         c.add_range_query();
         c.add_bloom_negative();
         c.add_snapshot_shared();
@@ -301,8 +279,6 @@ mod tests {
         assert_eq!(s.wal_replayed, 3);
         assert_eq!(s.compactions, 1);
         assert_eq!(s.bytes_compacted, 96);
-        c.reset();
-        assert_eq!(c.snapshot(), IoStats::default());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!    hop-windows (only candidate objects are fetched).
 //!
 //! This crate implements, from scratch, the three storage structures the
-//! paper evaluates, all behind the [`TrajectoryStore`] trait:
+//! paper evaluates, all behind the one [`SnapshotSource`] trait — those
+//! two access paths plus the owned conveniences derived from them:
 //!
 //! * [`FlatFileStore`] — sorted fixed-width records, sequential scans only
 //!   (the paper's *k2-File* loads it fully into memory, see
@@ -18,7 +19,9 @@
 //!   *k2-RDBMS*);
 //! * [`LsmStore`] — a **log-structured merge-tree**: in-memory memtable,
 //!   immutable SSTables with block-sparse indexes and bloom filters,
-//!   size-tiered compaction (the paper's *k2-LSMT*).
+//!   size-tiered compaction (the paper's *k2-LSMT*). One `&self` handle
+//!   serves ingest, MVCC snapshot pins ([`StorePin`]) and reads from any
+//!   thread.
 //!
 //! Every store keeps [`IoStats`] counters (seeks, blocks, bytes, query
 //! counts) so the experiments can compare access behaviour, and loading
@@ -41,16 +44,22 @@ pub use iostats::{IoCounters, IoStats, MemoryBudget};
 pub use keys::{decode_key, decode_val, encode_key, encode_val, KEY_SIZE, VAL_SIZE};
 pub use lsm::{
     replay_wal, BlockCache, BloomFilter, CompactionController, CompactionPolicy, LsmConfig,
-    LsmStore, Manifest, ManifestRecord, SharedLsm, SsTableReader, SsTableWriter, StorePin,
-    WalReplay, WalSyncPolicy, WalWriter, WAL_FRAME_SIZE,
+    LsmStore, Manifest, ManifestRecord, SsTableReader, SsTableWriter, StorePin, WalReplay,
+    WalSyncPolicy, WalWriter, WAL_FRAME_SIZE,
 };
 pub use memory::InMemoryStore;
+
+/// An alias of [`LsmStore`], which takes `&self` everywhere and is
+/// itself the shared handle. It exists only so the repository benchmark
+/// (`perfbench/`, which calls `SharedLsm::bulk_load_with`) keeps
+/// compiling; it goes when that benchmark next changes.
+pub type SharedLsm = LsmStore;
 
 use k2_model::{Dataset, ObjPos, Oid, Time, TimeInterval};
 use std::sync::Arc;
 
 /// A borrowed view of one timestamp's snapshot — the zero-copy form of
-/// [`TrajectoryStore::scan_snapshot`].
+/// [`SnapshotSource::scan_snapshot`].
 ///
 /// Cow-like: engines whose snapshots already live in memory hand out a
 /// shared `Arc` slice (no record is copied, the view is `Send` and out-
@@ -100,7 +109,9 @@ impl std::ops::Deref for SnapshotRef<'_> {
 /// ways: full-snapshot scans at benchmark points and `(t, oid)` probes
 /// inside hop-windows. This trait is those two access paths (in their
 /// zero-copy / buffer-reusing forms) plus the span/size/IO metadata the
-/// miners report — nothing else. Every miner in the workspace
+/// miners report; the owned conveniences ([`scan_snapshot`],
+/// [`multi_get`], [`point_get`]) are provided methods written once over
+/// them. Every miner in the workspace
 /// ([`K2Hop`], the baselines) is generic over
 /// `SnapshotSource`, so one mining pipeline serves all four storage
 /// engines and bare datasets alike; `&dyn SnapshotSource` is the
@@ -111,6 +122,9 @@ impl std::ops::Deref for SnapshotRef<'_> {
 /// shared reference.
 ///
 /// [`K2Hop`]: https://docs.rs/k2-core
+/// [`scan_snapshot`]: SnapshotSource::scan_snapshot
+/// [`multi_get`]: SnapshotSource::multi_get
+/// [`point_get`]: SnapshotSource::point_get
 pub trait SnapshotSource {
     /// The dataset's time span `[Ts, Te]`.
     fn span(&self) -> TimeInterval;
@@ -126,8 +140,8 @@ pub trait SnapshotSource {
     /// fills `buf` (cleared first) and returns [`SnapshotRef::Buffered`].
     /// Positions are sorted by object id; timestamps outside the span
     /// yield an empty snapshot. The integration suite
-    /// (`tests/snapshot_parity.rs`) pins parity with the owned scans
-    /// across all engines.
+    /// (`tests/snapshot_parity.rs`) pins every engine's scans to the
+    /// reference dataset.
     fn scan_snapshot_ref<'a>(
         &self,
         t: Time,
@@ -166,10 +180,9 @@ pub trait SnapshotSource {
     /// for the LSM engine) is fully drained.
     ///
     /// The default is a no-op: most sources have no background work.
-    /// [`SharedLsm`] overrides it, which is how a server's `Stats`
+    /// [`LsmStore`] overrides it, which is how a server's `Stats`
     /// request — or a test that needs a settled table layout — can
-    /// quiesce a store through the trait surface without downcasting to
-    /// [`LsmStore`].
+    /// quiesce a store through the trait surface.
     fn quiesce_maintenance(&self) -> StoreResult<()> {
         Ok(())
     }
@@ -178,6 +191,32 @@ pub trait SnapshotSource {
     /// running (`0` for sources with no background work).
     fn maintenance_depth(&self) -> usize {
         0
+    }
+
+    /// All object positions at timestamp `t`, sorted by object id, as an
+    /// owned vector (empty outside the span) — the owned form of
+    /// [`scan_snapshot_ref`](Self::scan_snapshot_ref).
+    fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
+        let mut buf = Vec::new();
+        Ok(self.scan_snapshot_ref(t, &mut buf)?.to_vec())
+    }
+
+    /// Positions of the given objects at timestamp `t` (`DB[t]|O`), as an
+    /// owned vector — the owned form of
+    /// [`multi_get_into`](Self::multi_get_into). `oids` must be sorted
+    /// ascending.
+    fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
+        let mut out = Vec::with_capacity(oids.len());
+        self.multi_get_into(t, oids, &mut out)?;
+        Ok(out)
+    }
+
+    /// Position of one object at one timestamp: a one-key
+    /// [`multi_get_into`](Self::multi_get_into).
+    fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
+        let mut out = Vec::with_capacity(1);
+        self.multi_get_into(t, &[oid], &mut out)?;
+        Ok(out.pop())
     }
 }
 
@@ -283,46 +322,6 @@ impl<S: SnapshotSource> SnapshotSource for TimeRange<S> {
     }
 }
 
-/// Read-side interface shared by every storage engine.
-///
-/// Extends [`SnapshotSource`] (the access paths mining needs) with the
-/// owned-allocation scan forms, single-record point gets, and counter
-/// management that the experiment harnesses and conformance tests use.
-pub trait TrajectoryStore: SnapshotSource {
-    /// All object positions at timestamp `t`, sorted by object id.
-    ///
-    /// The owned-allocation form of
-    /// [`scan_snapshot_ref`](SnapshotSource::scan_snapshot_ref). Returns
-    /// an empty vector for timestamps outside the span.
-    fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>>;
-
-    /// [`scan_snapshot`](Self::scan_snapshot) into a caller-provided
-    /// buffer (cleared first).
-    ///
-    /// The benchmark-clustering phase scans one snapshot per benchmark
-    /// point; engines that materialise records (flat/B+tree/LSM) should
-    /// override the default so a worker reuses one buffer across every
-    /// snapshot it scans instead of allocating per scan.
-    fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        out.clear();
-        out.extend(self.scan_snapshot(t)?);
-        Ok(())
-    }
-
-    /// Positions of the given objects at timestamp `t` (`DB[t]|O`), as an
-    /// owned vector.
-    ///
-    /// `oids` must be sorted ascending. Engines are free to implement it
-    /// as point queries (the paper's LSMT formulation) or sorted probes.
-    fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>>;
-
-    /// Position of one object at one timestamp.
-    fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>>;
-
-    /// Resets the I/O counters to zero.
-    fn reset_io_stats(&self);
-}
-
 /// A bare in-memory [`Dataset`] is a [`SnapshotSource`]: snapshot scans
 /// hand out its own Arc-backed storage (zero-copy) and hop-window probes
 /// are galloping-merge restrictions. No I/O counters move — wrap the
@@ -390,37 +389,28 @@ mod trait_tests {
         Dataset::from_points(&pts).unwrap()
     }
 
-    pub(crate) fn conformance<S: TrajectoryStore>(store: &S, reference: &Dataset) {
+    pub(crate) fn conformance<S: SnapshotSource>(store: &S, reference: &Dataset) {
         assert_eq!(store.span(), reference.span());
         assert_eq!(store.num_points(), reference.num_points());
 
-        // Snapshot scans agree with the reference dataset.
-        for t in [0u32, 1, 25, 49] {
-            let got = store.scan_snapshot(t).unwrap();
-            let want = reference.snapshot(t).unwrap().positions();
-            assert_eq!(got, want, "snapshot {t} mismatch for {}", store.name());
-        }
-        // Outside the span: empty.
-        assert!(store.scan_snapshot(1000).unwrap().is_empty());
-
-        // The borrowed and buffered scan forms agree with the owned scan,
+        // The owned and borrowed scans both agree with the reference
+        // dataset (the owned form is derived from the borrowed one),
         // including clearing stale buffer content and absent timestamps.
         let mut scan_buf = vec![ObjPos::new(123, 1.0, 1.0)];
-        for t in [0u32, 25, 49, 1000] {
-            let want = store.scan_snapshot(t).unwrap();
+        for t in [0u32, 1, 25, 49, 1000] {
+            let want = reference.snapshot(t).map_or(&[][..], |s| s.positions());
+            let got = store.scan_snapshot(t).unwrap();
+            assert_eq!(
+                got,
+                want,
+                "scan_snapshot({t}) mismatch for {}",
+                store.name()
+            );
             let snap = store.scan_snapshot_ref(t, &mut scan_buf).unwrap();
             assert_eq!(
                 snap.positions(),
-                &want[..],
-                "scan_snapshot_ref({t}) mismatch for {}",
-                store.name()
-            );
-            drop(snap);
-            store.scan_snapshot_into(t, &mut scan_buf).unwrap();
-            assert_eq!(
-                scan_buf,
                 want,
-                "scan_snapshot_into({t}) mismatch for {}",
+                "scan_snapshot_ref({t}) mismatch for {}",
                 store.name()
             );
         }
@@ -444,16 +434,14 @@ mod trait_tests {
         store.multi_get_into(1000, &[1], &mut buf).unwrap();
         assert!(buf.is_empty(), "out-of-span must clear the buffer");
 
-        // I/O stats move and reset.
-        store.reset_io_stats();
+        // I/O stats move: a scan is counted.
+        let before = store.io_stats();
         let _ = store.scan_snapshot(25).unwrap();
-        let after = store.io_stats();
+        let diff = store.io_stats().since(&before);
         assert!(
-            after.range_queries >= 1,
+            diff.range_queries >= 1,
             "{}: scan must be counted",
             store.name()
         );
-        store.reset_io_stats();
-        assert_eq!(store.io_stats().range_queries, 0);
     }
 }

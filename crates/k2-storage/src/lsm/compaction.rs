@@ -19,9 +19,10 @@
 //!
 //! [`LsmStore`]: super::LsmStore
 
+use super::lookup::MergeIter;
 use super::manifest::{sync_dir, Manifest, ManifestRecord};
 use super::sstable::{BlockCache, SsTableReader, SsTableWriter, ENTRY_SIZE};
-use super::store::{sst_name, MergeIter};
+use super::store::sst_name;
 use crate::iostats::IoCounters;
 use crate::StoreResult;
 use std::fs;

@@ -18,8 +18,7 @@
 //!   [`LsmStore::compact_blocking`] runs the same merges inline for
 //!   deterministic tests and benches),
 //! * block reads go through a **sharded LRU block cache** shared behind
-//!   an `Arc` (per-shard mutex, O(1) eviction), making [`LsmStore`]
-//!   `Send`,
+//!   an `Arc` (per-shard mutex, O(1) eviction),
 //! * every flush, compaction and WAL rotation is committed by an
 //!   `fsync`ed record in the append-only **manifest** ([`manifest`]),
 //!   written strictly *after* the files it references are durable,
@@ -30,21 +29,25 @@
 //!   filter only before fetching a new block, and answers later keys
 //!   from the block it holds.
 //!
-//! # MVCC state swap
+//! # One `&self` handle, MVCC state swap
 //!
-//! The store's durable structure — frozen memtable generations plus the
-//! ordered table list — is published as an immutable `LsmState` behind
-//! `Arc<RwLock<Arc<LsmState>>>` (the classic state-swap idiom).
-//! Inserts fill a writer-private active memtable; every structural
-//! change — flush, compaction commit, snapshot pin — builds a fresh
-//! state and swaps the pointer under a short write lock.
-//! [`LsmStore::pin_snapshot`] freezes the active memtable and returns a
-//! [`StorePin`]: an `Arc` of the published state that serves reads for
-//! an entire mining run without blocking ingest (retired SSTables stay
-//! readable through the pin's open descriptors after compaction unlinks
-//! them; pinned reads share the block cache but account into per-pin
-//! counters). [`SharedLsm`] wraps a store for `&self` ingest + pinning
-//! across threads — the serving substrate `k2-server` builds on.
+//! Every [`LsmStore`] method takes `&self`: writers are serialised by
+//! one internal mutex over the writer-side structure, so a single store
+//! behind an `Arc` serves ingest, pins and reads from any thread — the
+//! serving substrate `k2-server` builds on. The store's durable
+//! structure — frozen memtable generations plus the ordered table list
+//! — is published as an immutable `LsmState` behind
+//! `Arc<RwLock<Arc<LsmState>>>` (the classic state-swap idiom). Inserts
+//! fill the active memtable; every structural change — flush,
+//! compaction commit, snapshot pin — builds a fresh state and swaps the
+//! pointer under a short write lock. [`LsmStore::pin_snapshot`] freezes
+//! the active memtable and returns a [`StorePin`]: an `Arc` of the
+//! published state that serves reads for an entire mining run without
+//! blocking ingest (retired SSTables stay readable through the pin's
+//! open descriptors after compaction unlinks them; pinned reads share
+//! the block cache but account into per-pin counters). The store and
+//! its pins serve scans and probes through one read path
+//! (`lookup::ReadSources`).
 //!
 //! Opening a store runs recovery: fold the manifest (dropping a torn
 //! tail), delete orphaned files from crashed flushes/compactions, replay
@@ -65,7 +68,6 @@ mod compaction;
 mod lookup;
 pub mod manifest;
 mod pin;
-mod shared;
 mod sstable;
 mod store;
 pub mod wal;
@@ -74,7 +76,6 @@ pub use bloom::BloomFilter;
 pub use compaction::{CompactionController, CompactionPolicy};
 pub use manifest::{Manifest, ManifestRecord};
 pub use pin::StorePin;
-pub use shared::SharedLsm;
 pub use sstable::{BlockCache, SsTableReader, SsTableWriter};
 pub use store::{LsmConfig, LsmStore};
 pub use wal::{replay_wal, WalReplay, WalSyncPolicy, WalWriter, WAL_FRAME_SIZE};

@@ -11,10 +11,9 @@
 
 use super::lookup::ReadSources;
 use super::sstable::SsTableReader;
-use super::store::{key_of, key_parts, val_parts, Memtable, MergeIter};
+use super::store::Memtable;
 use crate::iostats::IoCounters;
-use crate::keys::VAL_SIZE;
-use crate::{IoStats, SnapshotRef, SnapshotSource, StoreResult, TrajectoryStore};
+use crate::{IoStats, SnapshotRef, SnapshotSource, StoreResult};
 use k2_model::{ObjPos, Oid, Time, TimeInterval};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,10 +67,10 @@ impl LsmState {
 
 /// A pinned, immutable view of an `LsmStore` at one instant.
 ///
-/// Created by `LsmStore::pin_snapshot` (or `SharedLsm::pin`). The pin is
-/// a full [`SnapshotSource`] + [`TrajectoryStore`] reader: a miner can
-/// hold it for an entire run while the store keeps ingesting, flushing
-/// and compacting underneath — the pin's view never changes, because it
+/// Created by `LsmStore::pin_snapshot`. The pin is a full
+/// [`SnapshotSource`] reader: a miner can hold it for an entire run
+/// while the store keeps ingesting, flushing and compacting underneath
+/// — the pin's view never changes, because it
 /// owns `Arc`s to the frozen memtable generations and the open SSTable
 /// readers of its state. Compaction may unlink a pinned table's file;
 /// the open descriptor keeps the data readable until the pin drops.
@@ -123,7 +122,7 @@ impl StorePin {
         &self.state.table_seqs
     }
 
-    /// The sources point lookups consult: the pinned frozen
+    /// The sources a pinned read consults: the pinned frozen
     /// generations and tables (the active memtable was frozen at pin
     /// time).
     fn read_sources(&self) -> ReadSources<'_> {
@@ -131,27 +130,8 @@ impl StorePin {
             active: None,
             frozen: &self.state.frozen,
             tables: &self.state.tables,
+            span: self.state.span,
         }
-    }
-
-    /// Merged range scan over `[lo, hi]` within the pinned state.
-    fn scan_merged_with(
-        &self,
-        lo: u64,
-        hi: u64,
-        mut visit: impl FnMut(u64, [u8; VAL_SIZE]),
-    ) -> StoreResult<()> {
-        let mut merge = MergeIter::over_tables(&self.state.tables, lo, &self.io)?;
-        for generation in &self.state.frozen {
-            merge.add_mem(generation.range(lo..=hi));
-        }
-        while let Some((k, v)) = merge.next()? {
-            if k > hi {
-                break;
-            }
-            visit(k, v);
-        }
-        Ok(())
     }
 }
 
@@ -163,24 +143,11 @@ impl Drop for StorePin {
 
 impl SnapshotSource for StorePin {
     fn span(&self) -> TimeInterval {
-        match self.state.span {
-            Some((lo, hi)) => TimeInterval::new(lo, hi),
-            None => TimeInterval::instant(0),
-        }
+        self.read_sources().span()
     }
 
     fn num_points(&self) -> u64 {
-        self.state
-            .tables
-            .iter()
-            .map(|t| t.num_entries())
-            .sum::<u64>()
-            + self
-                .state
-                .frozen
-                .iter()
-                .map(|m| m.len() as u64)
-                .sum::<u64>()
+        self.read_sources().num_points()
     }
 
     fn scan_snapshot_ref<'a>(
@@ -188,7 +155,7 @@ impl SnapshotSource for StorePin {
         t: Time,
         buf: &'a mut Vec<ObjPos>,
     ) -> StoreResult<SnapshotRef<'a>> {
-        self.scan_snapshot_into(t, buf)?;
+        self.read_sources().scan_into(&self.io, t, buf)?;
         Ok(SnapshotRef::Buffered(buf))
     }
 
@@ -202,40 +169,6 @@ impl SnapshotSource for StorePin {
 
     fn name(&self) -> &'static str {
         "k2-lsmt-pin"
-    }
-}
-
-impl TrajectoryStore for StorePin {
-    fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::new();
-        self.scan_snapshot_into(t, &mut out)?;
-        Ok(out)
-    }
-
-    fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.io.add_range_query();
-        self.io.add_snapshot_copied();
-        out.clear();
-        self.scan_merged_with(key_of(t, 0), key_of(t, Oid::MAX), |k, v| {
-            let (_, oid) = key_parts(k);
-            let (x, y) = val_parts(&v);
-            out.push(ObjPos::new(oid, x, y));
-        })?;
-        Ok(())
-    }
-
-    fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::with_capacity(oids.len());
-        self.multi_get_into(t, oids, &mut out)?;
-        Ok(out)
-    }
-
-    fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.read_sources().point_get(&self.io, t, oid)
-    }
-
-    fn reset_io_stats(&self) {
-        self.io.reset()
     }
 }
 

@@ -8,18 +8,18 @@ use super::compaction::{
 use super::lookup::ReadSources;
 use super::manifest::{sync_dir, Manifest, ManifestRecord};
 use super::pin::{LsmState, StorePin};
-use super::sstable::{BlockCache, SsTableIter, SsTableReader, SsTableWriter};
+use super::sstable::{BlockCache, SsTableReader, SsTableWriter};
 use super::wal::{replay_wal, WalSyncPolicy, WalWriter};
 use crate::iostats::IoCounters;
 use crate::keys::VAL_SIZE;
-use crate::{IoStats, SnapshotRef, SnapshotSource, StoreResult, TrajectoryStore};
+use crate::{IoStats, SnapshotRef, SnapshotSource, StoreError, StoreResult};
 use k2_model::{Dataset, ObjPos, Oid, Point, Time, TimeInterval};
 use std::collections::BTreeMap;
 use std::fs;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Tuning knobs for [`LsmStore`].
 #[derive(Debug, Clone, Copy)]
@@ -133,38 +133,44 @@ pub(crate) type Memtable = BTreeMap<u64, [u8; VAL_SIZE]>;
 /// read-only mining, and durability there is established wholesale by
 /// the final flush.
 ///
-/// # The state-swap write path (MVCC)
+/// # One `&self` handle (MVCC)
 ///
-/// The store's durable structure — frozen memtable generations and the
-/// ordered SSTable list — is published as an immutable `LsmState`
-/// behind `Arc<RwLock<Arc<LsmState>>>`. Writers never mutate a published
-/// state: `insert` fills a **writer-private active memtable**, and every
+/// Every method takes `&self`, so one store (typically behind an `Arc`)
+/// serves ingest, pins and reads from any number of threads. The
+/// writer-side structure — active memtable, frozen generations, table
+/// list, WAL, compaction bookkeeping — lives behind one internal mutex
+/// that serialises writers. The durable structure is also published as
+/// an immutable `LsmState` behind `Arc<RwLock<Arc<LsmState>>>`: every
 /// structural change (flush, compaction commit, snapshot pin) builds a
-/// fresh `Arc<LsmState>` and swaps it in under a short write lock.
-/// [`LsmStore::pin_snapshot`] freezes the active memtable into the
-/// published state and hands back a [`StorePin`] — an `Arc` of that
-/// state plus its own I/O counters — which serves reads for an entire
-/// mining run without ever blocking ingest. Compaction may unlink a
-/// pinned table's file, but unix keeps the data readable through the
-/// pin's open descriptor; pinned block reads share the store's block
-/// cache and account into the pin's counters.
+/// fresh `Arc<LsmState>` and swaps it in under a short write lock, while
+/// plain inserts only touch the active memtable. [`LsmStore::version`]
+/// and [`LsmStore::live_pins`] read the published state and the pin
+/// counter without the writer lock. [`LsmStore::pin_snapshot`] freezes
+/// the active memtable into the published state and hands back a
+/// [`StorePin`] — an `Arc` of that state plus its own I/O counters —
+/// which serves reads for an entire mining run without ever taking the
+/// writer lock. Compaction may unlink a pinned table's file, but unix
+/// keeps the data readable through the pin's open descriptor; pinned
+/// block reads share the store's block cache and account into the pin's
+/// counters. Reads on the store itself see the active memtable too, so
+/// they take the writer lock for their duration.
+///
+/// A writer that panics poisons the lock; every later call that returns
+/// a [`StoreResult`] then fails with an error instead of touching the
+/// half-updated structure.
 ///
 /// Compaction runs under a [`CompactionController`] (size-tiered by
 /// default: only similarly sized young runs are merged, settled tables
 /// are left alone) and, by default, on a background worker thread — the
-/// write path only enqueues. `LsmStore` is `Send`: its shared internals
-/// (block cache, I/O counters, manifest, published state) are `Arc`ed
-/// and thread-safe, so a store can be handed to another thread whole;
-/// [`SharedLsm`](crate::SharedLsm) wraps one in a mutex for `&self`
-/// ingest alongside live pins.
+/// write path only enqueues.
 ///
 /// ```
-/// use k2_storage::{LsmStore, TrajectoryStore};
+/// use k2_storage::{LsmStore, SnapshotSource};
 /// use k2_model::Point;
 ///
 /// let dir = std::env::temp_dir().join(format!("lsm-doc-{}", std::process::id()));
 /// let _ = std::fs::remove_dir_all(&dir);
-/// let mut store = LsmStore::create(&dir)?;
+/// let store = LsmStore::create(&dir)?;
 /// store.insert(Point::new(1, 2.0, 3.0, 0))?;
 /// store.insert(Point::new(2, 2.5, 3.0, 0))?;
 /// store.flush()?;
@@ -176,10 +182,28 @@ pub(crate) type Memtable = BTreeMap<u64, [u8; VAL_SIZE]>;
 #[derive(Debug)]
 pub struct LsmStore {
     dir: PathBuf,
+    io: Arc<IoCounters>,
+    /// The published MVCC state; see the struct docs.
+    state: Arc<RwLock<Arc<LsmState>>>,
+    /// Live [`StorePin`] count (each pin decrements on drop).
+    pins: Arc<AtomicU64>,
+    writer: Mutex<Writer>,
+}
+
+// The store is shared across serving threads by reference.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<LsmStore>();
+};
+
+/// The writer-side structure of an [`LsmStore`], behind its mutex.
+#[derive(Debug)]
+struct Writer {
+    dir: PathBuf,
     config: LsmConfig,
-    /// Writer-private active memtable: inserts land here without
-    /// touching the published state, so a swap is only paid when the
-    /// structure changes (flush/compaction/pin), never per record.
+    /// Active memtable: inserts land here without touching the
+    /// published state, so a swap is only paid when the structure
+    /// changes (flush/compaction/pin), never per record.
     active: Memtable,
     /// Frozen generations (oldest first) already visible in the
     /// published state; written out together at the next flush.
@@ -191,12 +215,10 @@ pub struct LsmStore {
     tables: Vec<Arc<SsTableReader>>,
     /// Sequence numbers of `tables`, same order.
     table_seqs: Vec<u64>,
-    /// The published MVCC state; see the struct docs.
+    /// The store's published state, swapped by [`Writer::publish`].
     state: Arc<RwLock<Arc<LsmState>>>,
     /// Version of the currently published state; bumped on every swap.
     version: u64,
-    /// Live [`StorePin`] count (each pin decrements on drop).
-    pins: Arc<AtomicU64>,
     /// Shared with the background compaction worker, which appends its
     /// own commit records.
     manifest: Arc<Mutex<Manifest>>,
@@ -227,34 +249,15 @@ impl LsmStore {
     pub fn create_with(dir: impl AsRef<Path>, config: LsmConfig) -> StoreResult<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let manifest = Arc::new(Mutex::new(Manifest::create(&dir)?));
-        let state = Arc::new(RwLock::new(Arc::new(LsmState::empty())));
-        let mut store = Self {
+        let manifest = Manifest::create(&dir)?;
+        let cache = Arc::new(BlockCache::new(config.cache_blocks));
+        Self::from_writer(Writer::new(
             dir,
             config,
-            active: Memtable::new(),
-            frozen: Vec::new(),
-            frozen_entries: 0,
-            tables: Vec::new(),
-            table_seqs: Vec::new(),
-            state,
-            version: 0,
-            pins: Arc::new(AtomicU64::new(0)),
             manifest,
-            wal: None,
-            stale_wal: None,
-            next_seq: 1,
-            cache: Arc::new(BlockCache::new(config.cache_blocks)),
-            io: Arc::new(IoCounters::new()),
-            controller: controller_of(&config),
-            compactor: None,
-            inflight: None,
-            span: None,
-        };
-        if config.wal {
-            store.rotate_wal()?;
-        }
-        Ok(store)
+            cache,
+            Arc::new(IoCounters::new()),
+        ))
     }
 
     /// Opens an existing store directory.
@@ -330,82 +333,68 @@ impl LsmStore {
 
         let cache = Arc::new(BlockCache::new(config.cache_blocks));
         let io = Arc::new(IoCounters::new());
-        let mut tables = Vec::new();
+        let mut w = Writer::new(dir, config, manifest, cache, io);
+        w.next_seq = next_seq;
         for &seq in &live {
             // The table seq is the cache id: unique per file for the
             // directory's whole history, so a reopened store can never
             // alias cache entries of a retired table.
-            let reader =
-                SsTableReader::open(dir.join(sst_name(seq)), seq, cache.clone(), io.clone())?;
-            tables.push(Arc::new(reader));
+            w.tables.push(Arc::new(w.open_table(seq)?));
         }
+        w.table_seqs = live;
 
         // 4 (span, table part). The composite key is (t << 32 | oid), so
         // each table's key range bounds its time range.
-        let mut span: Option<(Time, Time)> = None;
-        let mut widen = |lo: Time, hi: Time| {
-            span = Some(match span {
-                None => (lo, hi),
-                Some((a, b)) => (a.min(lo), b.max(hi)),
-            });
-        };
-        for t in &tables {
-            if let (Some(lo), Some(hi)) = (t.min_key(), t.max_key()) {
-                widen((lo >> 32) as Time, (hi >> 32) as Time);
-            }
-        }
+        let mut bounds: Vec<(u64, u64)> = w
+            .tables
+            .iter()
+            .filter_map(|t| Some((t.min_key()?, t.max_key()?)))
+            .collect();
 
         // 3. Replay the live WAL tail into the memtable.
-        let mut active = Memtable::new();
-        let mut wal = None;
-        let mut stale_wal = None;
         if let Some(seq) = wal_seq {
-            let path = dir.join(wal_name(seq));
+            let path = w.dir.join(wal_name(seq));
             let replay = replay_wal(&path, |k, v| {
-                active.insert(k, v);
+                w.active.insert(k, v);
             })?;
-            io.add_wal_replayed(replay.frames);
+            w.io.add_wal_replayed(replay.frames);
             if config.wal {
-                wal = Some(WalWriter::open_append(&path, config.wal_sync, io.clone())?);
+                w.wal = Some(WalWriter::open_append(
+                    &path,
+                    config.wal_sync,
+                    w.io.clone(),
+                )?);
             } else if path.exists() {
-                stale_wal = Some(path);
+                w.stale_wal = Some(path);
             }
         }
         if let (Some((&lo, _)), Some((&hi, _))) =
-            (active.first_key_value(), active.last_key_value())
+            (w.active.first_key_value(), w.active.last_key_value())
         {
-            widen((lo >> 32) as Time, (hi >> 32) as Time);
+            bounds.push((lo, hi));
         }
+        w.span = bounds.iter().fold(None, |span, &(lo, hi)| {
+            let (lo, hi) = (key_parts(lo).0, key_parts(hi).0);
+            Some(span.map_or((lo, hi), |(a, b): (Time, Time)| (a.min(lo), b.max(hi))))
+        });
+        w.publish();
+        Self::from_writer(w)
+    }
 
-        let mut store = Self {
-            dir,
-            config,
-            active,
-            frozen: Vec::new(),
-            frozen_entries: 0,
-            tables,
-            table_seqs: live,
-            state: Arc::new(RwLock::new(Arc::new(LsmState::empty()))),
-            version: 0,
-            pins: Arc::new(AtomicU64::new(0)),
-            manifest: Arc::new(Mutex::new(manifest)),
-            wal,
-            stale_wal,
-            next_seq,
-            cache,
-            io,
-            controller: controller_of(&config),
-            compactor: None,
-            inflight: None,
-            span,
-        };
-        store.publish();
-        // WAL requested but no live generation (fresh store, or one last
-        // run with the WAL off): start one now.
-        if store.config.wal && store.wal.is_none() {
-            store.rotate_wal()?;
+    /// Wraps a freshly built writer; starts a WAL generation when the
+    /// WAL is requested but none is live (a fresh store, or one last run
+    /// with the WAL off).
+    fn from_writer(mut w: Writer) -> StoreResult<Self> {
+        if w.config.wal && w.wal.is_none() {
+            w.rotate_wal()?;
         }
-        Ok(store)
+        Ok(Self {
+            dir: w.dir.clone(),
+            io: w.io.clone(),
+            state: w.state.clone(),
+            pins: Arc::new(AtomicU64::new(0)),
+            writer: Mutex::new(w),
+        })
     }
 
     /// Bulk-loads a dataset: inserts every record and flushes. The WAL
@@ -433,16 +422,239 @@ impl LsmStore {
                 ..config
             },
         )?;
+        // The load owns the store, so it fills the writer directly: no
+        // lock per record.
+        let w = store
+            .writer
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         for p in dataset.iter_points() {
-            store.insert(p)?;
+            w.insert(p)?;
         }
-        store.flush()?;
-        store.config.wal = config.wal;
-        store.config.background_compaction = config.background_compaction;
+        w.flush()?;
+        w.config.wal = config.wal;
+        w.config.background_compaction = config.background_compaction;
         if config.wal {
-            store.rotate_wal()?;
+            w.rotate_wal()?;
         }
         Ok(store)
+    }
+
+    /// The writer lock; a lock poisoned by a panicking writer fails
+    /// closed.
+    fn writer(&self) -> StoreResult<MutexGuard<'_, Writer>> {
+        self.writer.lock().map_err(|_| {
+            StoreError::Io(std::io::Error::other(
+                "LSM store poisoned by a panic in an earlier writer",
+            ))
+        })
+    }
+
+    /// The writer lock for infallible metadata reads, poisoned or not.
+    fn peek(&self) -> MutexGuard<'_, Writer> {
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `read` over the store's current sources — the active
+    /// memtable included — under the writer lock.
+    fn read<R>(&self, read: impl FnOnce(&ReadSources<'_>) -> StoreResult<R>) -> StoreResult<R> {
+        read(&self.writer()?.read_sources())
+    }
+
+    /// Pins the store's current contents as an immutable snapshot.
+    ///
+    /// The active memtable (if non-empty) is frozen into the published
+    /// state first, so the pin sees every insert acknowledged before
+    /// this call and nothing after it. The returned [`StorePin`] is a
+    /// self-contained [`SnapshotSource`]: it holds `Arc`s to the frozen
+    /// generations and open SSTable readers (compaction may unlink a
+    /// retired table's file, but the open descriptor keeps it readable),
+    /// reads through the store's shared block cache, and accounts its
+    /// I/O into its own counters. Dropping the pin releases it; the
+    /// writer is never blocked either way.
+    pub fn pin_snapshot(&self) -> StoreResult<StorePin> {
+        let mut w = self.writer()?;
+        w.freeze_active()?;
+        let state = self.state.read().expect("state lock").clone();
+        Ok(StorePin::new(state, self.pins.clone()))
+    }
+
+    /// Inserts one record; may trigger an automatic memtable flush.
+    ///
+    /// With the WAL enabled the record is framed and handed to the OS
+    /// before this returns: an acknowledged insert survives a crash at
+    /// any later point (see [`LsmConfig::wal_sync`] for the power-
+    /// failure window). With background compaction (the default) the
+    /// flush only writes the memtable and enqueues any merge work, so
+    /// insert latency never includes an O(total data) compaction. The
+    /// record lands in the active memtable — no state swap, nothing a
+    /// pinned reader could contend on.
+    pub fn insert(&self, p: Point) -> StoreResult<()> {
+        self.writer()?.insert(p)
+    }
+
+    /// Inserts a batch of records under one writer-lock acquisition, so
+    /// no pin ever observes part of the batch. On an error the records
+    /// before the failing one stay inserted.
+    pub fn insert_batch(&self, points: impl IntoIterator<Item = Point>) -> StoreResult<()> {
+        let mut w = self.writer()?;
+        points.into_iter().try_for_each(|p| w.insert(p))
+    }
+
+    /// Flushes all buffered entries — frozen generations and the active
+    /// memtable, merged newest-wins — to a new SSTable (no-op when
+    /// nothing is buffered), retires the WAL generation that covered
+    /// them, publishes the new state, then consults the compaction
+    /// controller — enqueueing (background mode) or running (blocking
+    /// mode) any merge it picks.
+    ///
+    /// The flush commits in a fixed order: the SSTable is written and
+    /// `fsync`ed, the directory entry is `fsync`ed, and only then is the
+    /// [`ManifestRecord::Flush`] appended — a crash before the record
+    /// leaves an orphan file that recovery ignores, while the WAL still
+    /// holds every entry. Pins taken before the flush keep reading the
+    /// frozen generations they hold; the swap is invisible to them.
+    pub fn flush(&self) -> StoreResult<()> {
+        self.writer()?.flush()
+    }
+
+    /// Merges every SSTable into one run (newest version of each key
+    /// wins), inline and deterministically, waiting out any in-flight
+    /// background job first. This is the mode tests and goldens use; the
+    /// steady-state policy path is [`Self::wait_for_compactions`].
+    ///
+    /// The [`ManifestRecord::Compact`] append is the commit point: a
+    /// crash before it leaves an orphaned output that recovery deletes
+    /// (the inputs stay live); a crash after it leaves stale inputs that
+    /// recovery deletes (the output is live).
+    pub fn compact_blocking(&self) -> StoreResult<()> {
+        let mut w = self.writer()?;
+        w.wait_for_compactions()?;
+        if w.tables.len() <= 1 {
+            return Ok(());
+        }
+        let range = 0..w.tables.len();
+        w.run_inline(range)
+    }
+
+    /// Drives compaction to its policy steady state and blocks until no
+    /// work remains: any in-flight background job is waited out and
+    /// applied, and the controller is re-consulted until it picks
+    /// nothing. After this returns `num_tables() <= max_tables`.
+    pub fn wait_for_compactions(&self) -> StoreResult<()> {
+        self.writer()?.wait_for_compactions()
+    }
+
+    /// Forces the live WAL (if any) to stable storage, regardless of the
+    /// configured [`WalSyncPolicy`].
+    pub fn sync_wal(&self) -> StoreResult<()> {
+        match &mut self.writer()?.wal {
+            Some(w) => w.sync(),
+            None => Ok(()),
+        }
+    }
+
+    /// Number of on-disk SSTables.
+    pub fn num_tables(&self) -> usize {
+        self.peek().tables.len()
+    }
+
+    /// Entries currently buffered in memory: the active memtable plus
+    /// any generations frozen by [`Self::pin_snapshot`].
+    pub fn memtable_len(&self) -> usize {
+        let w = self.peek();
+        w.active.len() + w.frozen_entries
+    }
+
+    /// Version of the currently published state; bumped by every swap
+    /// (flush, compaction commit, snapshot pin). `version() -
+    /// pin.version()` is a pin's staleness in state swaps. Reads the
+    /// published state only — never waits for a writer.
+    pub fn version(&self) -> u64 {
+        self.state.read().expect("state lock").version
+    }
+
+    /// Number of live [`StorePin`]s.
+    pub fn live_pins(&self) -> u64 {
+        self.pins.load(Ordering::Relaxed)
+    }
+
+    /// Number of compaction jobs currently queued or running in the
+    /// background (the store keeps at most one in flight).
+    pub fn compaction_queue_depth(&self) -> usize {
+        usize::from(self.peek().inflight.is_some())
+    }
+
+    /// Path of the live write-ahead log, if the WAL is enabled.
+    pub fn wal_path(&self) -> Option<PathBuf> {
+        self.peek().wal.as_ref().map(|w| w.path().to_path_buf())
+    }
+
+    /// Storage directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+}
+
+fn controller_of(config: &LsmConfig) -> CompactionController {
+    CompactionController::new(
+        config.compaction,
+        config.max_tables,
+        config.tier_size_ratio,
+        config.tier_min_merge,
+    )
+}
+
+impl Writer {
+    fn new(
+        dir: PathBuf,
+        config: LsmConfig,
+        manifest: Manifest,
+        cache: Arc<BlockCache>,
+        io: Arc<IoCounters>,
+    ) -> Self {
+        Self {
+            dir,
+            config,
+            active: Memtable::new(),
+            frozen: Vec::new(),
+            frozen_entries: 0,
+            tables: Vec::new(),
+            table_seqs: Vec::new(),
+            state: Arc::new(RwLock::new(Arc::new(LsmState::empty()))),
+            version: 0,
+            manifest: Arc::new(Mutex::new(manifest)),
+            wal: None,
+            stale_wal: None,
+            next_seq: 1,
+            cache,
+            io,
+            controller: controller_of(&config),
+            compactor: None,
+            inflight: None,
+            span: None,
+        }
+    }
+
+    /// The sources a store-side read consults: the active memtable, the
+    /// frozen generations and the tables.
+    fn read_sources(&self) -> ReadSources<'_> {
+        ReadSources {
+            active: Some(&self.active),
+            frozen: &self.frozen,
+            tables: &self.tables,
+            span: self.span,
+        }
+    }
+
+    /// Opens the reader of table `seq` over the shared cache.
+    fn open_table(&self, seq: u64) -> StoreResult<SsTableReader> {
+        SsTableReader::open(
+            self.dir.join(sst_name(seq)),
+            seq,
+            self.cache.clone(),
+            self.io.clone(),
+        )
     }
 
     /// Rebuilds the published [`LsmState`] from the writer-side fields
@@ -461,18 +673,9 @@ impl LsmStore {
         *self.state.write().expect("state lock") = next;
     }
 
-    /// Pins the store's current contents as an immutable snapshot.
-    ///
-    /// The active memtable (if non-empty) is frozen into the published
-    /// state first, so the pin sees every insert acknowledged before
-    /// this call and nothing after it. The returned [`StorePin`] is a
-    /// self-contained [`SnapshotSource`]: it holds `Arc`s to the frozen
-    /// generations and open SSTable readers (compaction may unlink a
-    /// retired table's file, but the open descriptor keeps it readable),
-    /// reads through the store's shared block cache, and accounts its
-    /// I/O into its own counters. Dropping the pin releases it; the
-    /// writer is never blocked either way.
-    pub fn pin_snapshot(&mut self) -> StoreResult<StorePin> {
+    /// Freezes a non-empty active memtable into the published state, so
+    /// a pin taken now sees every acknowledged insert.
+    fn freeze_active(&mut self) -> StoreResult<()> {
         self.drain_finished()?;
         if !self.active.is_empty() {
             let generation = Arc::new(std::mem::take(&mut self.active));
@@ -480,21 +683,10 @@ impl LsmStore {
             self.frozen.push(generation);
             self.publish();
         }
-        let state = self.state.read().expect("state lock").clone();
-        Ok(StorePin::new(state, self.pins.clone()))
+        Ok(())
     }
 
-    /// Inserts one record; may trigger an automatic memtable flush.
-    ///
-    /// With the WAL enabled the record is framed and handed to the OS
-    /// before this returns: an acknowledged insert survives a crash at
-    /// any later point (see [`LsmConfig::wal_sync`] for the power-
-    /// failure window). With background compaction (the default) the
-    /// flush only writes the memtable and enqueues any merge work, so
-    /// insert latency never includes an O(total data) compaction. The
-    /// record lands in the writer-private active memtable — no state
-    /// swap, no lock a concurrent pinned reader could contend on.
-    pub fn insert(&mut self, p: Point) -> StoreResult<()> {
+    fn insert(&mut self, p: Point) -> StoreResult<()> {
         let key = key_of(p.t, p.oid);
         let val = val_of(p.x, p.y);
         if let Some(w) = &mut self.wal {
@@ -511,20 +703,7 @@ impl LsmStore {
         Ok(())
     }
 
-    /// Flushes all buffered entries — frozen generations and the active
-    /// memtable, merged newest-wins — to a new SSTable (no-op when
-    /// nothing is buffered), retires the WAL generation that covered
-    /// them, publishes the new state, then consults the compaction
-    /// controller — enqueueing (background mode) or running (blocking
-    /// mode) any merge it picks.
-    ///
-    /// The flush commits in a fixed order: the SSTable is written and
-    /// `fsync`ed, the directory entry is `fsync`ed, and only then is the
-    /// [`ManifestRecord::Flush`] appended — a crash before the record
-    /// leaves an orphan file that recovery ignores, while the WAL still
-    /// holds every entry. Pins taken before the flush keep reading the
-    /// frozen generations they hold; the swap is invisible to them.
-    pub fn flush(&mut self) -> StoreResult<()> {
+    fn flush(&mut self) -> StoreResult<()> {
         self.drain_finished()?;
         if self.active.is_empty() && self.frozen.is_empty() {
             return Ok(());
@@ -558,7 +737,7 @@ impl LsmStore {
         w.finish()?;
         sync_dir(&self.dir)?;
         self.append_manifest(&ManifestRecord::Flush { seq })?;
-        let reader = SsTableReader::open(&path, seq, self.cache.clone(), self.io.clone())?;
+        let reader = self.open_table(seq)?;
         self.tables.push(Arc::new(reader));
         self.table_seqs.push(seq);
         self.active.clear();
@@ -577,34 +756,7 @@ impl LsmStore {
         Ok(())
     }
 
-    /// Merges every SSTable into one run (newest version of each key
-    /// wins), inline and deterministically, waiting out any in-flight
-    /// background job first. This is the mode tests and goldens use; the
-    /// steady-state policy path is [`Self::wait_for_compactions`].
-    ///
-    /// The [`ManifestRecord::Compact`] append is the commit point: a
-    /// crash before it leaves an orphaned output that recovery deletes
-    /// (the inputs stay live); a crash after it leaves stale inputs that
-    /// recovery deletes (the output is live).
-    pub fn compact_blocking(&mut self) -> StoreResult<()> {
-        self.wait_for_compactions()?;
-        if self.tables.len() <= 1 {
-            return Ok(());
-        }
-        let range = 0..self.tables.len();
-        self.run_inline(range)
-    }
-
-    /// Alias of [`Self::compact_blocking`], kept for the original API.
-    pub fn compact(&mut self) -> StoreResult<()> {
-        self.compact_blocking()
-    }
-
-    /// Drives compaction to its policy steady state and blocks until no
-    /// work remains: any in-flight background job is waited out and
-    /// applied, and the controller is re-consulted until it picks
-    /// nothing. After this returns `num_tables() <= max_tables`.
-    pub fn wait_for_compactions(&mut self) -> StoreResult<()> {
+    fn wait_for_compactions(&mut self) -> StoreResult<()> {
         loop {
             self.drain_finished()?;
             if self.inflight.is_some() {
@@ -620,12 +772,17 @@ impl LsmStore {
                 }
                 continue;
             }
-            let sizes: Vec<u64> = self.tables.iter().map(|t| t.num_entries()).collect();
-            match self.controller.pick(&sizes) {
+            match self.pick_compaction() {
                 Some(range) => self.start_compaction(range)?,
                 None => return Ok(()),
             }
         }
+    }
+
+    /// The table run the controller would merge next, if any.
+    fn pick_compaction(&self) -> Option<Range<usize>> {
+        let sizes: Vec<u64> = self.tables.iter().map(|t| t.num_entries()).collect();
+        self.controller.pick(&sizes)
     }
 
     /// Applies finished background jobs and, if the controller picks a
@@ -637,8 +794,7 @@ impl LsmStore {
             if self.inflight.is_some() {
                 return Ok(());
             }
-            let sizes: Vec<u64> = self.tables.iter().map(|t| t.num_entries()).collect();
-            let Some(range) = self.controller.pick(&sizes) else {
+            let Some(range) = self.pick_compaction() else {
                 return Ok(());
             };
             self.start_compaction(range)?;
@@ -732,12 +888,7 @@ impl LsmStore {
             self.table_seqs.remove(pos);
         }
         self.cache.evict_tables(&done.inputs);
-        let reader = SsTableReader::open(
-            self.dir.join(sst_name(done.output)),
-            done.output,
-            self.cache.clone(),
-            self.io.clone(),
-        )?;
+        let reader = self.open_table(done.output)?;
         self.tables.insert(pos, Arc::new(reader));
         self.table_seqs.insert(pos, done.output);
         self.publish();
@@ -768,101 +919,9 @@ impl LsmStore {
         }
         Ok(())
     }
-
-    /// Forces the live WAL (if any) to stable storage, regardless of the
-    /// configured [`WalSyncPolicy`].
-    pub fn sync_wal(&mut self) -> StoreResult<()> {
-        if let Some(w) = &mut self.wal {
-            w.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Number of on-disk SSTables.
-    pub fn num_tables(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Entries currently buffered in memory: the active memtable plus
-    /// any generations frozen by [`Self::pin_snapshot`].
-    pub fn memtable_len(&self) -> usize {
-        self.active.len() + self.frozen_entries
-    }
-
-    /// Version of the currently published state; bumped by every swap
-    /// (flush, compaction commit, snapshot pin). `version() -
-    /// pin.version()` is a pin's staleness in state swaps.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Number of live [`StorePin`]s.
-    pub fn live_pins(&self) -> u64 {
-        self.pins.load(Ordering::Relaxed)
-    }
-
-    /// Number of compaction jobs currently queued or running in the
-    /// background (the store keeps at most one in flight).
-    pub fn compaction_queue_depth(&self) -> usize {
-        usize::from(self.inflight.is_some())
-    }
-
-    /// The shared handle to the published state, for wrappers that need
-    /// to peek at the current version without borrowing the store.
-    pub(crate) fn state_handle(&self) -> Arc<RwLock<Arc<LsmState>>> {
-        self.state.clone()
-    }
-
-    /// The shared live-pin counter.
-    pub(crate) fn pins_handle(&self) -> Arc<AtomicU64> {
-        self.pins.clone()
-    }
-
-    /// Path of the live write-ahead log, if the WAL is enabled.
-    pub fn wal_path(&self) -> Option<&Path> {
-        self.wal.as_ref().map(|w| w.path())
-    }
-
-    /// Storage directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The sources point lookups consult: the active memtable, the
-    /// frozen generations and the tables.
-    fn read_sources(&self) -> ReadSources<'_> {
-        ReadSources {
-            active: Some(&self.active),
-            frozen: &self.frozen,
-            tables: &self.tables,
-        }
-    }
-
-    /// Merged range scan over `[lo, hi]`, newest version winning; each
-    /// entry is fed to `visit` straight off the merge (no intermediate
-    /// entry buffer, so callers can decode into their own storage).
-    fn scan_merged_with(
-        &self,
-        lo: u64,
-        hi: u64,
-        mut visit: impl FnMut(u64, [u8; VAL_SIZE]),
-    ) -> StoreResult<()> {
-        let mut merge = MergeIter::over_tables(&self.tables, lo, &self.io)?;
-        for generation in &self.frozen {
-            merge.add_mem(generation.range(lo..=hi));
-        }
-        merge.add_mem(self.active.range(lo..=hi));
-        while let Some((k, v)) = merge.next()? {
-            if k > hi {
-                break;
-            }
-            visit(k, v);
-        }
-        Ok(())
-    }
 }
 
-impl Drop for LsmStore {
+impl Drop for Writer {
     fn drop(&mut self) {
         // Wait out an in-flight background job so its manifest commit
         // and input deletions are not torn by process-level teardown;
@@ -875,119 +934,13 @@ impl Drop for LsmStore {
     }
 }
 
-/// K-way merging cursor over SSTable iterators plus any number of
-/// memtable ranges. Sources are ranked by recency (higher = newer); for
-/// duplicate keys only the newest version is emitted. Tables rank below
-/// every memtable range; memtable ranges rank in the order they are
-/// added (add frozen generations oldest first, the active memtable
-/// last). Shared with the compaction module, whose merges rank inputs
-/// the same way, and with [`StorePin`]'s snapshot scans.
-type Entry = (u64, [u8; VAL_SIZE]);
-type MemRange<'a> = std::collections::btree_map::Range<'a, u64, [u8; VAL_SIZE]>;
-
-fn controller_of(config: &LsmConfig) -> CompactionController {
-    CompactionController::new(
-        config.compaction,
-        config.max_tables,
-        config.tier_size_ratio,
-        config.tier_min_merge,
-    )
-}
-
-pub(crate) struct MergeIter<'a> {
-    /// `(rank, head, cursor)` per table, ranks `0..tables.len()`.
-    tables: Vec<(usize, Option<Entry>, SsTableIter<'a>)>,
-    /// `(rank, cursor, head)` per memtable range, ranks continuing
-    /// upward in add order.
-    mems: Vec<(usize, MemRange<'a>, Option<Entry>)>,
-    next_rank: usize,
-}
-
-impl<'a> MergeIter<'a> {
-    /// Cursor over `tables` (oldest first) starting at `from`, with
-    /// block fetches accounted into `io`.
-    pub(crate) fn over_tables(
-        tables: &'a [Arc<SsTableReader>],
-        from: u64,
-        io: &'a IoCounters,
-    ) -> StoreResult<Self> {
-        let mut v = Vec::with_capacity(tables.len());
-        for (rank, t) in tables.iter().enumerate() {
-            let mut it = t.iter_from_with(from, io);
-            let head = it.next()?;
-            v.push((rank, head, it));
-        }
-        Ok(Self {
-            next_rank: tables.len(),
-            tables: v,
-            mems: Vec::new(),
-        })
-    }
-
-    /// Adds a memtable range outranking the tables and every range
-    /// added before it.
-    pub(crate) fn add_mem(&mut self, mut range: MemRange<'a>) {
-        let head = range.next().map(|(&k, v)| (k, *v));
-        let rank = self.next_rank;
-        self.next_rank += 1;
-        self.mems.push((rank, range, head));
-    }
-
-    pub(crate) fn next(&mut self) -> StoreResult<Option<Entry>> {
-        // Minimum key across all heads.
-        let mut min_key: Option<u64> = None;
-        for (_, head, _) in &self.tables {
-            if let Some((k, _)) = head {
-                min_key = Some(min_key.map_or(*k, |m: u64| m.min(*k)));
-            }
-        }
-        for (_, _, head) in &self.mems {
-            if let Some((k, _)) = head {
-                min_key = Some(min_key.map_or(*k, |m: u64| m.min(*k)));
-            }
-        }
-        let Some(key) = min_key else {
-            return Ok(None);
-        };
-        // Newest version wins: every source holding the key advances,
-        // the highest rank keeps the value.
-        let mut best: Option<(usize, [u8; VAL_SIZE])> = None;
-        for (rank, head, it) in &mut self.tables {
-            if head.map(|(k, _)| k) == Some(key) {
-                let (_, v) = head.expect("checked above");
-                if best.is_none_or(|(r, _)| *rank > r) {
-                    best = Some((*rank, v));
-                }
-                *head = it.next()?;
-            }
-        }
-        for (rank, range, head) in &mut self.mems {
-            if head.map(|(k, _)| k) == Some(key) {
-                let (_, v) = head.expect("checked above");
-                if best.is_none_or(|(r, _)| *rank > r) {
-                    best = Some((*rank, v));
-                }
-                *head = range.next().map(|(&k, v)| (k, *v));
-            }
-        }
-        Ok(best.map(|(_, v)| (key, v)))
-    }
-}
-
 impl SnapshotSource for LsmStore {
     fn span(&self) -> TimeInterval {
-        match self.span {
-            Some((lo, hi)) => TimeInterval::new(lo, hi),
-            None => TimeInterval::instant(0),
-        }
+        self.peek().read_sources().span()
     }
 
     fn num_points(&self) -> u64 {
-        // Counts versions, not unique keys; exact for the append-only
-        // workloads of the experiments.
-        self.tables.iter().map(|t| t.num_entries()).sum::<u64>()
-            + self.frozen_entries as u64
-            + self.active.len() as u64
+        self.peek().read_sources().num_points()
     }
 
     fn scan_snapshot_ref<'a>(
@@ -997,12 +950,12 @@ impl SnapshotSource for LsmStore {
     ) -> StoreResult<SnapshotRef<'a>> {
         // Disk engine: records are decoded into the caller's reused
         // buffer (one copy, no fresh allocation per scan).
-        self.scan_snapshot_into(t, buf)?;
+        self.read(|src| src.scan_into(&self.io, t, buf))?;
         Ok(SnapshotRef::Buffered(buf))
     }
 
     fn multi_get_into(&self, t: Time, oids: &[Oid], out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.read_sources().multi_get_into(&self.io, t, oids, out)
+        self.read(|src| src.multi_get_into(&self.io, t, oids, out))
     }
 
     fn io_stats(&self) -> IoStats {
@@ -1013,44 +966,12 @@ impl SnapshotSource for LsmStore {
         "k2-lsmt"
     }
 
+    fn quiesce_maintenance(&self) -> StoreResult<()> {
+        self.wait_for_compactions()
+    }
+
     fn maintenance_depth(&self) -> usize {
         self.compaction_queue_depth()
-    }
-}
-
-impl TrajectoryStore for LsmStore {
-    fn scan_snapshot(&self, t: Time) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::new();
-        self.scan_snapshot_into(t, &mut out)?;
-        Ok(out)
-    }
-
-    fn scan_snapshot_into(&self, t: Time, out: &mut Vec<ObjPos>) -> StoreResult<()> {
-        self.io.add_range_query();
-        self.io.add_snapshot_copied();
-        // Merged entries decode straight into the caller's buffer — no
-        // intermediate entry vector, no per-scan allocation.
-        out.clear();
-        self.scan_merged_with(key_of(t, 0), key_of(t, Oid::MAX), |k, v| {
-            let (_, oid) = key_parts(k);
-            let (x, y) = val_parts(&v);
-            out.push(ObjPos::new(oid, x, y));
-        })?;
-        Ok(())
-    }
-
-    fn multi_get(&self, t: Time, oids: &[Oid]) -> StoreResult<Vec<ObjPos>> {
-        let mut out = Vec::with_capacity(oids.len());
-        self.multi_get_into(t, oids, &mut out)?;
-        Ok(out)
-    }
-
-    fn point_get(&self, t: Time, oid: Oid) -> StoreResult<Option<ObjPos>> {
-        self.read_sources().point_get(&self.io, t, oid)
-    }
-
-    fn reset_io_stats(&self) {
-        self.io.reset()
     }
 }
 
@@ -1058,14 +979,15 @@ impl TrajectoryStore for LsmStore {
 impl LsmStore {
     /// Test-only flush variant that skips the compaction consult, so a
     /// test can pin a deliberately un-compacted table layout.
-    fn flush_without_compaction_for_tests(&mut self) -> StoreResult<()> {
-        let policy = self.config.max_tables;
-        self.config.max_tables = usize::MAX;
-        let controller = self.controller;
-        self.controller = controller_of(&self.config);
-        let res = self.flush();
-        self.config.max_tables = policy;
-        self.controller = controller;
+    fn flush_without_compaction_for_tests(&self) -> StoreResult<()> {
+        let mut w = self.writer()?;
+        let controller = w.controller;
+        w.controller = controller_of(&LsmConfig {
+            max_tables: usize::MAX,
+            ..w.config
+        });
+        let res = w.flush();
+        w.controller = controller;
         res
     }
 }
@@ -1132,9 +1054,9 @@ mod tests {
             max_tables: 100, // no auto-compaction
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::bulk_load_with(tmpdir("explicit"), &d, config).unwrap();
+        let store = LsmStore::bulk_load_with(tmpdir("explicit"), &d, config).unwrap();
         assert!(store.num_tables() > 1);
-        store.compact().unwrap();
+        store.compact_blocking().unwrap();
         assert_eq!(store.num_tables(), 1);
         conformance(&store, &d);
     }
@@ -1150,7 +1072,7 @@ mod tests {
             wal: false,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::bulk_load_with(&dir, &d, config).unwrap();
+        let store = LsmStore::bulk_load_with(&dir, &d, config).unwrap();
         assert_eq!(store.num_tables(), 1); // one settled 1000-entry table
         let settled_bytes = store.io_stats().bytes_compacted;
         // Pour in small flushes: the tiered policy must merge the young
@@ -1203,7 +1125,7 @@ mod tests {
             wal: false,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::create_with(&dir, config).unwrap();
+        let store = LsmStore::create_with(&dir, config).unwrap();
         for i in 0..2000u32 {
             store
                 .insert(Point::new(i % 500, (i % 97) as f64, 2.0, (i / 500) as Time))
@@ -1230,7 +1152,7 @@ mod tests {
                 wal: false,
                 ..LsmConfig::default()
             };
-            let mut store = LsmStore::create_with(&dir, config).unwrap();
+            let store = LsmStore::create_with(&dir, config).unwrap();
             for i in 0..600u32 {
                 store
                     .insert(Point::new(
@@ -1261,13 +1183,17 @@ mod tests {
             wal: false,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::bulk_load_with(&dir, &d, config).unwrap();
+        let store = LsmStore::bulk_load_with(&dir, &d, config).unwrap();
         assert_eq!(store.num_tables(), 1);
         // Warm the cache on the settled table.
         let _ = store.point_get(0, 5).unwrap();
-        store.reset_io_stats();
+        let before = store.io_stats();
         let _ = store.point_get(0, 5).unwrap();
-        assert_eq!(store.io_stats().blocks_read, 0, "warm read must hit cache");
+        assert_eq!(
+            store.io_stats().since(&before).blocks_read,
+            0,
+            "warm read must hit cache"
+        );
         // Trigger a tiered compaction of young tables only.
         for round in 0..4u32 {
             for i in 0..20u32 {
@@ -1281,9 +1207,9 @@ mod tests {
         assert!(store.io_stats().compactions > 0);
         // The settled table was not an input, so its blocks must still
         // be resident.
-        store.reset_io_stats();
+        let before = store.io_stats();
         let _ = store.point_get(0, 5).unwrap();
-        let s = store.io_stats();
+        let s = store.io_stats().since(&before);
         assert_eq!(
             s.blocks_read, 0,
             "partial compaction evicted a surviving table's blocks"
@@ -1294,7 +1220,7 @@ mod tests {
     #[test]
     fn newest_version_wins_after_overwrite() {
         let dir = tmpdir("overwrite");
-        let mut store = LsmStore::create(&dir).unwrap();
+        let store = LsmStore::create(&dir).unwrap();
         store.insert(Point::new(1, 1.0, 1.0, 5)).unwrap();
         store.flush().unwrap();
         store.insert(Point::new(1, 9.0, 9.0, 5)).unwrap();
@@ -1307,14 +1233,14 @@ mod tests {
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].x, 9.0);
         // And compaction collapses to the newest version.
-        store.compact().unwrap();
+        store.compact_blocking().unwrap();
         assert_eq!(store.point_get(5, 1).unwrap().unwrap().x, 9.0);
     }
 
     #[test]
     fn newest_version_wins_across_frozen_generations() {
         let dir = tmpdir("frozenwins");
-        let mut store = LsmStore::create(&dir).unwrap();
+        let store = LsmStore::create(&dir).unwrap();
         store.insert(Point::new(1, 1.0, 1.0, 5)).unwrap();
         let _pin_a = store.pin_snapshot().unwrap(); // freezes generation 1
         store.insert(Point::new(1, 2.0, 2.0, 5)).unwrap();
@@ -1338,7 +1264,7 @@ mod tests {
     #[test]
     fn pin_is_isolated_from_later_writes() {
         let dir = tmpdir("pinisolate");
-        let mut store = LsmStore::create(&dir).unwrap();
+        let store = LsmStore::create(&dir).unwrap();
         for oid in 0..10u32 {
             store.insert(Point::new(oid, oid as f64, 1.0, 0)).unwrap();
         }
@@ -1352,7 +1278,7 @@ mod tests {
         }
         store.flush().unwrap();
         store.insert(Point::new(99, 9.0, 9.0, 1)).unwrap();
-        store.compact().unwrap();
+        store.compact_blocking().unwrap();
         assert_eq!(pin.scan_snapshot(0).unwrap().len(), 10);
         assert!(pin.scan_snapshot(1).unwrap().is_empty());
         assert_eq!(store.scan_snapshot(0).unwrap().len(), 30);
@@ -1367,6 +1293,64 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_ingest_under_live_pin() {
+        let config = LsmConfig {
+            memtable_entries: 128,
+            wal: false,
+            ..LsmConfig::default()
+        };
+        let store = LsmStore::create_with(tmpdir("concurrent"), config).unwrap();
+        for oid in 0..64u32 {
+            store.insert(Point::new(oid, oid as f64, 0.0, 0)).unwrap();
+        }
+        let pin = store.pin_snapshot().unwrap();
+        assert_eq!(store.live_pins(), 1);
+        // Four writer threads ingest through `&LsmStore` past several
+        // flush boundaries while the pin is live on this thread.
+        std::thread::scope(|s| {
+            for w in 0..4u32 {
+                let store = &store;
+                s.spawn(move || {
+                    for i in 0..256u32 {
+                        let t = 1 + (i % 4) as Time;
+                        store
+                            .insert(Point::new(1000 + w * 1000 + i, 1.0, 1.0, t))
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        store.flush().unwrap();
+        store.quiesce_maintenance().unwrap();
+        // The pin's view is exactly the pre-ingest state.
+        assert_eq!(pin.scan_snapshot(0).unwrap().len(), 64);
+        assert!(pin.scan_snapshot(1).unwrap().is_empty());
+        // The store sees everything.
+        assert_eq!(store.num_points(), 64 + 4 * 256);
+        drop(pin);
+        assert_eq!(store.live_pins(), 0);
+    }
+
+    #[test]
+    fn poisoned_writer_fails_closed() {
+        let store = LsmStore::create(tmpdir("poison")).unwrap();
+        store.insert(Point::new(1, 1.0, 1.0, 0)).unwrap();
+        let panicked = std::panic::catch_unwind(|| {
+            let _writer = store.writer.lock().unwrap();
+            panic!("writer dies mid-update");
+        });
+        assert!(panicked.is_err());
+        // Writes and reads that could see a half-updated structure fail…
+        assert!(store.insert(Point::new(2, 1.0, 1.0, 0)).is_err());
+        assert!(store.flush().is_err());
+        assert!(store.pin_snapshot().is_err());
+        assert!(store.scan_snapshot(0).is_err());
+        // …while the metadata accessors still answer.
+        assert_eq!(store.memtable_len(), 1);
+        assert_eq!(store.live_pins(), 0);
+    }
+
+    #[test]
     fn pin_survives_compaction_unlinking_its_tables() {
         let dir = tmpdir("pinunlink");
         let config = LsmConfig {
@@ -1376,7 +1360,7 @@ mod tests {
             wal: false,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::create_with(&dir, config).unwrap();
+        let store = LsmStore::create_with(&dir, config).unwrap();
         // Three flushed tables (max_tables 2 compacts on the third).
         let mut pinned_tables = Vec::new();
         let mut pin = None;
@@ -1390,13 +1374,13 @@ mod tests {
                 // Pin while two un-compacted tables are live.
                 store.flush_without_compaction_for_tests().unwrap();
                 let p = store.pin_snapshot().unwrap();
-                pinned_tables = store.table_seqs.clone();
+                pinned_tables = p.table_seqs().to_vec();
                 pin = Some(p);
             } else {
                 store.flush().unwrap();
             }
         }
-        store.compact().unwrap();
+        store.compact_blocking().unwrap();
         assert_eq!(store.num_tables(), 1);
         // The pinned inputs were unlinked by the compaction…
         for seq in &pinned_tables {
@@ -1416,9 +1400,9 @@ mod tests {
     #[test]
     fn pin_io_is_accounted_separately_but_shares_the_cache() {
         let d = toy_dataset();
-        let mut store = LsmStore::bulk_load(tmpdir("pinio"), &d).unwrap();
+        let store = LsmStore::bulk_load(tmpdir("pinio"), &d).unwrap();
         let pin = store.pin_snapshot().unwrap();
-        store.reset_io_stats();
+        let loaded = store.io_stats();
         // A cold pinned scan misses into the shared cache…
         let first = {
             let _ = pin.scan_snapshot(25).unwrap();
@@ -1426,12 +1410,12 @@ mod tests {
         };
         assert!(first.range_queries == 1 && first.cache_misses > 0);
         // …the store's own counters saw none of it…
-        assert_eq!(store.io_stats().range_queries, 0);
-        assert_eq!(store.io_stats().cache_misses, 0);
+        assert_eq!(store.io_stats().since(&loaded).range_queries, 0);
+        assert_eq!(store.io_stats().since(&loaded).cache_misses, 0);
         // …and a store-side read of the same snapshot now hits the
         // blocks the pin populated.
         let _ = store.scan_snapshot(25).unwrap();
-        let s = store.io_stats();
+        let s = store.io_stats().since(&loaded);
         assert!(s.cache_hits > 0);
         assert_eq!(s.blocks_read, 0, "pin-warmed blocks must be shared");
         // The pin's second scan also hits.
@@ -1445,7 +1429,7 @@ mod tests {
     #[test]
     fn version_bumps_on_every_swap_only() {
         let dir = tmpdir("version");
-        let mut store = LsmStore::create(&dir).unwrap();
+        let store = LsmStore::create(&dir).unwrap();
         let v0 = store.version();
         for oid in 0..5u32 {
             store.insert(Point::new(oid, 1.0, 1.0, 0)).unwrap();
@@ -1470,7 +1454,7 @@ mod tests {
     #[test]
     fn unflushed_memtable_is_readable() {
         let dir = tmpdir("memread");
-        let mut store = LsmStore::create(&dir).unwrap();
+        let store = LsmStore::create(&dir).unwrap();
         store.insert(Point::new(7, 3.0, 4.0, 2)).unwrap();
         assert_eq!(store.memtable_len(), 1);
         assert_eq!(
@@ -1493,11 +1477,11 @@ mod tests {
     fn bloom_negatives_accumulate_on_missing_probes() {
         let d = toy_dataset();
         let store = LsmStore::bulk_load(tmpdir("bloom"), &d).unwrap();
-        store.reset_io_stats();
+        let before = store.io_stats();
         for oid in 1000..1200u32 {
             let _ = store.point_get(0, oid).unwrap();
         }
-        assert!(store.io_stats().bloom_negatives > 150);
+        assert!(store.io_stats().since(&before).bloom_negatives > 150);
     }
 
     #[test]
@@ -1513,7 +1497,7 @@ mod tests {
     fn wal_recovers_unflushed_inserts_on_reopen() {
         let dir = tmpdir("walrecover");
         {
-            let mut store = LsmStore::create(&dir).unwrap();
+            let store = LsmStore::create(&dir).unwrap();
             for oid in 0..10u32 {
                 store.insert(Point::new(oid, oid as f64, 1.0, 3)).unwrap();
             }
@@ -1537,7 +1521,7 @@ mod tests {
     fn wal_covers_frozen_generations_until_flush() {
         let dir = tmpdir("walfrozen");
         {
-            let mut store = LsmStore::create(&dir).unwrap();
+            let store = LsmStore::create(&dir).unwrap();
             for oid in 0..5u32 {
                 store.insert(Point::new(oid, oid as f64, 1.0, 0)).unwrap();
             }
@@ -1557,11 +1541,11 @@ mod tests {
     #[test]
     fn flush_retires_the_wal_generation() {
         let dir = tmpdir("walretire");
-        let mut store = LsmStore::create(&dir).unwrap();
+        let store = LsmStore::create(&dir).unwrap();
         store.insert(Point::new(1, 1.0, 1.0, 0)).unwrap();
-        let before = store.wal_path().unwrap().to_path_buf();
+        let before = store.wal_path().unwrap();
         store.flush().unwrap();
-        let after = store.wal_path().unwrap().to_path_buf();
+        let after = store.wal_path().unwrap();
         assert_ne!(before, after, "flush must rotate to a fresh WAL");
         assert!(!before.exists(), "retired WAL file must be deleted");
         // Reopen replays nothing: everything lives in the SSTable.
@@ -1579,7 +1563,7 @@ mod tests {
             wal: false,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::create_with(&dir, config).unwrap();
+        let store = LsmStore::create_with(&dir, config).unwrap();
         store.insert(Point::new(1, 1.0, 2.0, 0)).unwrap();
         assert_eq!(store.wal_path(), None);
         assert_eq!(store.io_stats().wal_appends, 0);
@@ -1609,10 +1593,10 @@ mod tests {
         let store = LsmStore::bulk_load_with(tmpdir("nocache"), &d, config).unwrap();
         conformance(&store, &d);
         // Re-reading the same snapshot never hits: nothing is retained.
-        store.reset_io_stats();
+        let before = store.io_stats();
         let _ = store.scan_snapshot(25).unwrap();
         let _ = store.scan_snapshot(25).unwrap();
-        let s = store.io_stats();
+        let s = store.io_stats().since(&before);
         assert_eq!(s.cache_hits, 0, "cache_blocks: 0 must disable caching");
         assert!(s.cache_misses > 0);
         assert_eq!(s.blocks_read, s.cache_misses, "every miss goes to disk");

@@ -54,16 +54,26 @@ fn main() {
 
     // k2-RDBMS. One session, any engine: the outcome carries the I/O
     // profile of whichever store served it.
-    btree.reset_io_stats();
+    let before = btree.io_stats();
     let t0 = Instant::now();
     let res_b = session.mine(&btree).expect("mining");
-    print_row("k2-rdbms", res_b.convoys.len(), t0.elapsed(), res_b.io);
+    print_row(
+        "k2-rdbms",
+        res_b.convoys.len(),
+        t0.elapsed(),
+        res_b.io.since(&before),
+    );
 
     // k2-LSMT.
-    lsm.reset_io_stats();
+    let before = lsm.io_stats();
     let t0 = Instant::now();
     let res_l = session.mine(&lsm).expect("mining");
-    print_row("k2-lsmt", res_l.convoys.len(), t0.elapsed(), res_l.io);
+    print_row(
+        "k2-lsmt",
+        res_l.convoys.len(),
+        t0.elapsed(),
+        res_l.io.since(&before),
+    );
 
     assert_eq!(res.convoys, res_b.convoys);
     assert_eq!(res.convoys, res_l.convoys);

@@ -17,7 +17,7 @@ use k2hop::core::K2Config;
 use k2hop::model::{codec, Dataset};
 use k2hop::server::{K2Service, Server};
 use k2hop::storage::{
-    FlatFileStore, InMemoryStore, LsmConfig, LsmStore, RelationalStore, SharedLsm, SnapshotSource,
+    FlatFileStore, InMemoryStore, LsmConfig, LsmStore, RelationalStore, SnapshotSource,
 };
 use k2hop::{MiningSession, PatternKind};
 use std::collections::HashMap;
@@ -340,10 +340,10 @@ fn serve(args: &[&String]) -> Result<(), String> {
                 dataset.num_points(),
                 dataset.span().len()
             );
-            SharedLsm::bulk_load_with(&dir, &dataset, LsmConfig::default())
+            LsmStore::bulk_load_with(&dir, &dataset, LsmConfig::default())
         }
-        None if dir.join("MANIFEST").exists() => LsmStore::open(&dir).map(SharedLsm::new),
-        None => SharedLsm::create_with(&dir, LsmConfig::default()),
+        None if dir.join("MANIFEST").exists() => LsmStore::open(&dir),
+        None => LsmStore::create_with(&dir, LsmConfig::default()),
     }
     .map_err(|e| e.to_string())?;
     let service = Arc::new(K2Service::new(store));

@@ -97,5 +97,5 @@ pub mod prelude {
         Convoy, ConvoySet, Dataset, DatasetBuilder, ObjPos, ObjectSet, Oid, Point, SetId, SetPool,
         Snapshot, Time, TimeInterval,
     };
-    pub use k2_storage::{InMemoryStore, SnapshotSource, TrajectoryStore};
+    pub use k2_storage::{InMemoryStore, SnapshotSource};
 }

@@ -5,7 +5,7 @@
 //! active memtable the keys live in.
 
 use k2hop::model::{Oid, Point, Time};
-use k2hop::storage::{LsmConfig, LsmStore, TrajectoryStore};
+use k2hop::storage::{LsmConfig, LsmStore, SnapshotSource};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -54,7 +54,7 @@ fn dense_round(seed: u64) -> Vec<Point> {
     pts
 }
 
-fn write(store: &mut LsmStore, model: &mut Model, round: &[Point]) {
+fn write(store: &LsmStore, model: &mut Model, round: &[Point]) {
     for p in round {
         store.insert(*p).unwrap();
         model.insert((p.t, p.oid), (p.x, p.y));
@@ -62,7 +62,7 @@ fn write(store: &mut LsmStore, model: &mut Model, round: &[Point]) {
 }
 
 /// Batched, per-key and model answers agree for every batch.
-fn check(source: &dyn TrajectoryStore, model: &Model, batches: &[(Time, Vec<Oid>)]) {
+fn check(source: &dyn SnapshotSource, model: &Model, batches: &[(Time, Vec<Oid>)]) {
     let mut got = Vec::new();
     for (t, oids) in batches {
         let mut oids = oids.clone();
@@ -106,17 +106,17 @@ proptest! {
             background_compaction: false,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::create_with(&dir, config).unwrap();
+        let store = LsmStore::create_with(&dir, config).unwrap();
         let mut model = Model::new();
-        write(&mut store, &mut model, &dense_round(salt));
+        write(&store, &mut model, &dense_round(salt));
         store.flush().unwrap();
         for round in &tables {
-            write(&mut store, &mut model, round);
+            write(&store, &mut model, round);
             store.flush().unwrap();
         }
         let mut pin = None;
         for round in &frozen {
-            write(&mut store, &mut model, round);
+            write(&store, &mut model, round);
             pin = Some(store.pin_snapshot().unwrap());
         }
         let (pin, pinned) = (pin.expect("two frozen rounds"), model.clone());
@@ -124,7 +124,7 @@ proptest! {
             .iter()
             .map(|p| Point::new(p.oid, p.x, p.y, p.t + 2))
             .collect();
-        write(&mut store, &mut model, &late);
+        write(&store, &mut model, &late);
         prop_assert!(store.num_tables() >= 2);
 
         // Whole dense snapshots too, so some batches surely span blocks.

@@ -29,8 +29,7 @@ use k2hop::datagen::trucks::TrucksConfig;
 use k2hop::model::{Convoy, Dataset};
 use k2hop::prelude::*;
 use k2hop::storage::{
-    CompactionPolicy, LsmConfig, LsmStore, SnapshotSource, TrajectoryStore, WalSyncPolicy,
-    WAL_FRAME_SIZE,
+    CompactionPolicy, LsmConfig, LsmStore, SnapshotSource, WalSyncPolicy, WAL_FRAME_SIZE,
 };
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -131,7 +130,7 @@ fn flushing_config() -> LsmConfig {
 }
 
 /// Streams every dataset point through the WAL-protected insert path.
-fn stream_insert(store: &mut LsmStore, dataset: &Dataset) {
+fn stream_insert(store: &LsmStore, dataset: &Dataset) {
     for p in dataset.iter_points() {
         store.insert(p).unwrap();
     }
@@ -179,8 +178,8 @@ fn kill_before_flush_recovers_every_acknowledged_insert() {
     {
         // Default config: memtable holds the whole workload, nothing is
         // flushed — the WAL is the only durable copy.
-        let mut store = LsmStore::create(&dir).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create(&dir).unwrap();
+        stream_insert(&store, &dataset);
         assert_eq!(store.num_tables(), 0, "workload must stay unflushed");
         // Killed here: dropped without flush.
     }
@@ -212,8 +211,8 @@ fn kill_mid_insert_drops_only_the_torn_frame() {
     let dir = tmpdir("midinsert");
     let last = dataset.iter_points().last().unwrap();
     {
-        let mut store = LsmStore::create(&dir).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create(&dir).unwrap();
+        stream_insert(&store, &dataset);
     }
     // Tear the final frame mid-write: 13 bytes of it never hit the disk.
     let wal = TornWriter::new(wal_file(&dir));
@@ -232,7 +231,6 @@ fn kill_mid_insert_drops_only_the_torn_frame() {
     );
     // The WAL was truncated to its last whole frame, so the client's
     // retry of the unacknowledged write continues the log cleanly.
-    let mut store = store;
     store.insert(last).unwrap();
     assert_mines_golden(&store, cfg, &expected, "kill-mid-insert");
 
@@ -250,8 +248,8 @@ fn kill_mid_flush_ignores_orphan_sstable_and_replays_wal() {
     let (dataset, cfg, expected) = golden_workload();
     let dir = tmpdir("midflush");
     {
-        let mut store = LsmStore::create(&dir).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create(&dir).unwrap();
+        stream_insert(&store, &dataset);
     }
     // A flush died after writing half an SSTable: fabricate the orphan
     // from a torn copy of real table bytes (here: garbage prefix — the
@@ -277,8 +275,8 @@ fn kill_mid_compaction_keeps_inputs_drops_torn_output() {
     let (dataset, cfg, expected) = golden_workload();
     let dir = tmpdir("midcompact");
     {
-        let mut store = LsmStore::create_with(&dir, flushing_config()).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create_with(&dir, flushing_config()).unwrap();
+        stream_insert(&store, &dataset);
         store.flush().unwrap();
         assert!(store.num_tables() > 1, "need several tables to compact");
     }
@@ -311,8 +309,8 @@ fn kill_after_compaction_commit_sweeps_stale_inputs() {
     let dir = tmpdir("postcompact");
     let stale: Vec<(PathBuf, Vec<u8>)>;
     {
-        let mut store = LsmStore::create_with(&dir, flushing_config()).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create_with(&dir, flushing_config()).unwrap();
+        stream_insert(&store, &dataset);
         store.flush().unwrap();
         assert!(store.num_tables() > 1);
         // Snapshot the input files, run the real compaction, then put
@@ -325,7 +323,7 @@ fn kill_after_compaction_commit_sweeps_stale_inputs() {
                 (p, bytes)
             })
             .collect();
-        store.compact().unwrap();
+        store.compact_blocking().unwrap();
         assert_eq!(store.num_tables(), 1);
     }
     for (path, bytes) in &stale {
@@ -350,8 +348,8 @@ fn corrupt_manifest_tail_truncates_to_last_whole_record() {
     let (dataset, cfg, expected) = golden_workload();
     let dir = tmpdir("manifesttail");
     {
-        let mut store = LsmStore::create_with(&dir, flushing_config()).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create_with(&dir, flushing_config()).unwrap();
+        stream_insert(&store, &dataset);
         store.flush().unwrap();
     }
     let manifest = TornWriter::new(dir.join("MANIFEST"));
@@ -373,8 +371,8 @@ fn torn_manifest_tail_truncates_to_last_whole_record() {
     let (dataset, cfg, expected) = golden_workload();
     let dir = tmpdir("manifesttorn");
     {
-        let mut store = LsmStore::create_with(&dir, flushing_config()).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create_with(&dir, flushing_config()).unwrap();
+        stream_insert(&store, &dataset);
         store.flush().unwrap();
     }
     let manifest = TornWriter::new(dir.join("MANIFEST"));
@@ -411,7 +409,7 @@ fn kill_between_partial_compactions_folds_both_commits() {
     let dir = tmpdir("partialcompact");
     let mid_run: Vec<(PathBuf, Vec<u8>)>;
     {
-        let mut store = LsmStore::create_with(&dir, tiered_config()).unwrap();
+        let store = LsmStore::create_with(&dir, tiered_config()).unwrap();
         let points: Vec<Point> = dataset.iter_points().collect();
         let half = points.len() / 2;
         for p in &points[..half] {
@@ -472,8 +470,8 @@ fn kill_with_background_compactions_recovers_to_golden() {
         ..tiered_config()
     };
     {
-        let mut store = LsmStore::create_with(&dir, config).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create_with(&dir, config).unwrap();
+        stream_insert(&store, &dataset);
         // Killed here: in-flight background work + unflushed tail.
     }
     let store = LsmStore::open_with(&dir, config).unwrap();
@@ -495,8 +493,8 @@ fn background_and_blocking_compaction_mine_identical_goldens() {
             background_compaction: background,
             ..tiered_config()
         };
-        let mut store = LsmStore::create_with(&dir, config).unwrap();
-        stream_insert(&mut store, &dataset);
+        let store = LsmStore::create_with(&dir, config).unwrap();
+        stream_insert(&store, &dataset);
         store.flush().unwrap();
         store.wait_for_compactions().unwrap();
         for threads in [1, 2, 4] {
@@ -524,7 +522,7 @@ fn torn_wal_tail_recovers_longest_whole_prefix() {
         .map(|i| Point::new(i % 8, i as f64, 0.5, i / 8))
         .collect();
     {
-        let mut store = LsmStore::create(&dir).unwrap();
+        let store = LsmStore::create(&dir).unwrap();
         for p in &points {
             store.insert(*p).unwrap();
         }

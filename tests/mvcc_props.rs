@@ -8,7 +8,7 @@
 //! taken at pin time.
 
 use k2hop::model::{Dataset, Point};
-use k2hop::storage::{LsmConfig, LsmStore, SharedLsm, SnapshotSource, StorePin, TrajectoryStore};
+use k2hop::storage::{LsmConfig, LsmStore, SnapshotSource, StorePin};
 use k2hop::MiningSession;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -83,7 +83,7 @@ proptest! {
             background_compaction: true,
             ..LsmConfig::default()
         };
-        let mut store = LsmStore::create_with(dir.join("lsm"), config).unwrap();
+        let store = LsmStore::create_with(dir.join("lsm"), config).unwrap();
         let mut model: Model = BTreeMap::new();
         // (pin, frozen copy at pin time), verified after the sequence.
         let mut pins: Vec<(StorePin, Dataset)> = Vec::new();
@@ -146,7 +146,7 @@ fn pin_before_ingest_serves_the_past_reissue_serves_the_present() {
         max_tables: 2,
         ..LsmConfig::default()
     };
-    let mut store = LsmStore::bulk_load_with(dir.join("lsm"), &dataset, config).unwrap();
+    let store = LsmStore::bulk_load_with(dir.join("lsm"), &dataset, config).unwrap();
     let session = MiningSession::with_params(2, 5, 2.0).unwrap();
     let golden = session.mine(&dataset).unwrap().convoys;
     assert_eq!(golden.len(), 1, "workload must produce exactly one convoy");
@@ -184,16 +184,16 @@ fn insert_p99_stays_bounded_under_a_live_pin() {
         wal: false, // isolate the in-memory write path from fs jitter
         ..LsmConfig::default()
     };
-    let shared = SharedLsm::create_with(dir.join("lsm"), config).unwrap();
+    let store = LsmStore::create_with(dir.join("lsm"), config).unwrap();
     for oid in 0..256u32 {
-        shared.insert(Point::new(oid, oid as f64, 0.0, 0)).unwrap();
+        store.insert(Point::new(oid, oid as f64, 0.0, 0)).unwrap();
     }
-    let pin = shared.pin().unwrap();
+    let pin = store.pin_snapshot().unwrap();
     // A busy reader hammering the pinned snapshot for the whole run.
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let reader = {
         let stop = stop.clone();
-        let reader_pin = shared.pin().unwrap();
+        let reader_pin = store.pin_snapshot().unwrap();
         std::thread::spawn(move || {
             let mut scans = 0u64;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
@@ -210,7 +210,7 @@ fn insert_p99_stays_bounded_under_a_live_pin() {
     for i in 0..N as u32 {
         let p = Point::new(1000 + (i % 4096), 1.0, 2.0, 1 + i / 4096);
         let t0 = std::time::Instant::now();
-        shared.insert(p).unwrap();
+        store.insert(p).unwrap();
         lat.push(t0.elapsed().as_nanos() as u64);
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -244,7 +244,7 @@ fn store_stays_model_exact_while_pins_churn() {
         max_tables: 2,
         ..LsmConfig::default()
     };
-    let mut store = LsmStore::create_with(dir.join("lsm"), config).unwrap();
+    let store = LsmStore::create_with(dir.join("lsm"), config).unwrap();
     let mut model: Model = BTreeMap::new();
     let mut held: Vec<(StorePin, Dataset)> = Vec::new();
     for i in 0..400u32 {

@@ -6,7 +6,7 @@
 
 use k2hop::model::{Dataset, Point};
 use k2hop::server::{K2Service, LocalClient, Pattern, Request, Response, Server, TcpClient};
-use k2hop::storage::{LsmConfig, SharedLsm};
+use k2hop::storage::{LsmConfig, LsmStore};
 use k2hop::MiningSession;
 use std::sync::Arc;
 
@@ -66,7 +66,7 @@ fn local_and_tcp_clients_mine_golden_convoys() {
     assert!(want.len() >= 2, "workload must plant convoys");
     let span_end = dataset.span().end;
 
-    let store = SharedLsm::bulk_load_with(tmp("golden"), &dataset, LsmConfig::default()).unwrap();
+    let store = LsmStore::bulk_load_with(tmp("golden"), &dataset, LsmConfig::default()).unwrap();
     let service = Arc::new(K2Service::new(store));
     let mut server = Server::bind("127.0.0.1:0", Arc::clone(&service), 2).unwrap();
     let local = LocalClient::new(Arc::clone(&service), 2);
@@ -106,7 +106,7 @@ fn local_and_tcp_clients_mine_golden_convoys() {
 fn ingest_then_reissue_sees_new_data_and_stats_quiesces() {
     let dataset = workload();
     let span_end = dataset.span().end;
-    let store = SharedLsm::bulk_load_with(
+    let store = LsmStore::bulk_load_with(
         tmp("ingest"),
         &dataset,
         LsmConfig {
@@ -165,7 +165,7 @@ fn ingest_then_reissue_sees_new_data_and_stats_quiesces() {
 fn concurrent_miners_under_live_ingest_agree_with_their_pins() {
     let dataset = workload();
     let span_end = dataset.span().end;
-    let store = SharedLsm::bulk_load_with(
+    let store = LsmStore::bulk_load_with(
         tmp("concurrent"),
         &dataset,
         LsmConfig {
@@ -236,7 +236,7 @@ fn concurrent_miners_under_live_ingest_agree_with_their_pins() {
 #[test]
 fn flock_requests_serve_over_the_wire() {
     let dataset = workload();
-    let store = SharedLsm::bulk_load_with(tmp("flock"), &dataset, LsmConfig::default()).unwrap();
+    let store = LsmStore::bulk_load_with(tmp("flock"), &dataset, LsmConfig::default()).unwrap();
     let service = Arc::new(K2Service::new(store));
     let local = LocalClient::new(service, 1);
     let resp = local

@@ -1,16 +1,16 @@
-//! Cross-engine parity of the borrowed snapshot API: for every engine,
-//! `scan_snapshot_ref` and `scan_snapshot_into` must return exactly what
-//! `scan_snapshot` returns — same records, same (oid-sorted) order — on
-//! arbitrary datasets, including absent timestamps and single-point
-//! snapshots. Plus the zero-copy contract itself: the in-memory engine
-//! must serve every borrowed scan from shared storage, and a full mining
-//! run over it must clone no benchmark snapshot at all.
+//! Cross-engine parity of the snapshot API: for every engine, the
+//! borrowed `scan_snapshot_ref` and the owned `scan_snapshot` (derived
+//! from it) must both return exactly the reference dataset's snapshot —
+//! same records, same (oid-sorted) order — on arbitrary datasets,
+//! including absent timestamps and single-point snapshots. Plus the
+//! zero-copy contract itself: the in-memory engine must serve every scan
+//! from shared storage, and a full mining run over it must clone no
+//! benchmark snapshot at all.
 
 use k2hop::core::{ConvoyMiner, K2Config, K2Hop};
 use k2hop::model::{Dataset, ObjPos, Point};
 use k2hop::storage::{
     FlatFileStore, InMemoryStore, LsmStore, RelationalStore, SnapshotRef, SnapshotSource,
-    TrajectoryStore,
 };
 use proptest::prelude::*;
 
@@ -32,17 +32,21 @@ fn tmp(name: &str, salt: u64) -> std::path::PathBuf {
 }
 
 /// The parity contract for one engine: every timestamp of the span, plus
-/// out-of-span probes on both sides, through all three scan forms.
-fn check_scan_parity(store: &dyn TrajectoryStore) {
+/// out-of-span probes on both sides, through both scan forms, against
+/// the reference dataset.
+fn check_scan_parity(store: &dyn SnapshotSource, reference: &Dataset) {
     let span = store.span();
+    assert_eq!(span, reference.span(), "{} span", store.name());
     let mut buf = vec![ObjPos::new(u32::MAX, f64::MAX, f64::MAX)]; // stale content
     let probes = (span.start.saturating_sub(3)..=span.end).chain([span.end + 1, span.end + 1000]);
     for t in probes {
+        let want = reference.snapshot(t).map_or(&[][..], |s| s.positions());
         let owned = store.scan_snapshot(t).unwrap();
+        assert_eq!(owned, want, "{} scan_snapshot({t})", store.name());
         let borrowed = store.scan_snapshot_ref(t, &mut buf).unwrap();
         assert_eq!(
             borrowed.positions(),
-            &owned[..],
+            want,
             "{} scan_snapshot_ref({t})",
             store.name()
         );
@@ -51,17 +55,14 @@ fn check_scan_parity(store: &dyn TrajectoryStore) {
             "{} snapshot {t} must be strictly oid-sorted",
             store.name()
         );
-        drop(borrowed);
-        store.scan_snapshot_into(t, &mut buf).unwrap();
-        assert_eq!(buf, owned, "{} scan_snapshot_into({t})", store.name());
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// All four engines serve identical content and order through the
-    /// owned, borrowed and buffered scan forms.
+    /// All four engines serve the reference content and order through
+    /// the owned and borrowed scan forms.
     #[test]
     fn borrowed_scans_match_owned_scans_on_all_engines(
         points in points_strategy(),
@@ -71,29 +72,30 @@ proptest! {
         let dir = tmp("parity", salt);
 
         let mem = InMemoryStore::new(dataset.clone());
-        check_scan_parity(&mem);
+        check_scan_parity(&mem, &dataset);
         let flat = FlatFileStore::create(dir.join("d.bin"), &dataset).unwrap();
-        check_scan_parity(&flat);
+        check_scan_parity(&flat, &dataset);
         let btree = RelationalStore::create(dir.join("d.k2bt"), &dataset).unwrap();
-        check_scan_parity(&btree);
+        check_scan_parity(&btree, &dataset);
         let lsm = LsmStore::bulk_load(dir.join("lsm"), &dataset).unwrap();
-        check_scan_parity(&lsm);
+        check_scan_parity(&lsm, &dataset);
 
-        // The in-memory engine must have served every in-span borrowed
-        // scan zero-copy (absent timestamps return an empty borrow and
-        // count as neither shared nor copied), while its owned/buffered
-        // forms copy; the disk engines must have copied every scan.
+        // The in-memory engine must have served every in-span scan of
+        // both forms zero-copy (the owned form copies in the caller;
+        // absent timestamps return an empty borrow and count as neither
+        // shared nor copied); the disk engines must have copied every
+        // scan.
         let span = mem.span();
         let in_span = span.len() as u64;
         let probes = in_span + u64::from(span.start - span.start.saturating_sub(3)) + 2;
         let mem_io = mem.io_stats();
-        prop_assert_eq!(mem_io.snapshots_shared, in_span);
-        prop_assert_eq!(mem_io.snapshots_copied, 2 * probes);
-        prop_assert_eq!(mem_io.range_queries, 3 * probes);
+        prop_assert_eq!(mem_io.snapshots_shared, 2 * in_span);
+        prop_assert_eq!(mem_io.snapshots_copied, 0);
+        prop_assert_eq!(mem_io.range_queries, 2 * probes);
         for disk in [
-            &flat as &dyn TrajectoryStore,
-            &btree as &dyn TrajectoryStore,
-            &lsm as &dyn TrajectoryStore,
+            &flat as &dyn SnapshotSource,
+            &btree as &dyn SnapshotSource,
+            &lsm as &dyn SnapshotSource,
         ] {
             let io = disk.io_stats();
             prop_assert_eq!(io.snapshots_shared, 0, "{}", disk.name());
@@ -113,8 +115,8 @@ fn single_point_snapshot_parity() {
     let flat = FlatFileStore::create(dir.join("d.bin"), &dataset).unwrap();
     let btree = RelationalStore::create(dir.join("d.k2bt"), &dataset).unwrap();
     let lsm = LsmStore::bulk_load(dir.join("lsm"), &dataset).unwrap();
-    for store in [&mem as &dyn TrajectoryStore, &flat, &btree, &lsm] {
-        check_scan_parity(store);
+    for store in [&mem as &dyn SnapshotSource, &flat, &btree, &lsm] {
+        check_scan_parity(store, &dataset);
         let mut buf = Vec::new();
         let snap = store.scan_snapshot_ref(10, &mut buf).unwrap();
         assert_eq!(snap.len(), 1, "{}", store.name());
@@ -144,11 +146,11 @@ fn in_memory_mining_clones_no_benchmark_snapshot() {
     }
     let store = InMemoryStore::new(Dataset::from_points(&pts).unwrap());
     for threads in [1usize, 4] {
-        store.reset_io_stats();
+        let before = store.io_stats();
         let miner = K2Hop::with_threads(K2Config::new(3, 20, 1.0).unwrap(), threads);
         let result = ConvoyMiner::mine(&miner, &store).unwrap();
         assert_eq!(result.convoys.len(), 1, "{threads} threads");
-        let io = store.io_stats();
+        let io = store.io_stats().since(&before);
         assert_eq!(
             io.snapshots_copied, 0,
             "benchmark clustering must not clone in-memory snapshots ({threads} threads)"

@@ -6,8 +6,8 @@
 use k2hop::core::{ConvoyMiner, K2Config, K2Hop};
 use k2hop::datagen::ConvoyInjector;
 use k2hop::storage::{
-    FlatFileStore, InMemoryStore, LsmConfig, LsmStore, MemoryBudget, RelationalStore, StoreError,
-    TrajectoryStore,
+    FlatFileStore, InMemoryStore, LsmConfig, LsmStore, MemoryBudget, RelationalStore,
+    SnapshotSource, StoreError,
 };
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -58,10 +58,10 @@ fn disk_engines_serve_benchmark_scans_and_point_queries() {
     let lsm = LsmStore::bulk_load(dir.join("lsm"), &dataset).unwrap();
 
     let miner = K2Hop::new(K2Config::new(4, 10, 1.0).unwrap());
-    for engine in [&btree as &dyn TrajectoryStore, &lsm as &dyn TrajectoryStore] {
-        engine.reset_io_stats();
+    for engine in [&btree as &dyn SnapshotSource, &lsm as &dyn SnapshotSource] {
+        let before = engine.io_stats();
         let res = ConvoyMiner::mine(&miner, engine).unwrap();
-        let io = engine.io_stats();
+        let io = engine.io_stats().since(&before);
         assert!(!res.convoys.is_empty(), "{}", engine.name());
         // Benchmark scans: hop = 5 over 30 timestamps -> 6 range queries.
         assert_eq!(io.range_queries, 6, "{}", engine.name());
@@ -113,14 +113,14 @@ fn lsm_reopen_mid_experiment_is_consistent() {
 
 #[test]
 fn trait_objects_support_heterogeneous_pipelines() {
-    // The miner accepts `&dyn TrajectoryStore` — the bench harness depends
+    // The miner accepts `&dyn SnapshotSource` — the bench harness depends
     // on this to sweep engines generically.
     let dataset = ConvoyInjector::new(20, 20)
         .convoys(1, 3, 12)
         .seed(2)
         .generate();
     let dir = tmpdir("dyn");
-    let stores: Vec<Box<dyn TrajectoryStore>> = vec![
+    let stores: Vec<Box<dyn SnapshotSource>> = vec![
         Box::new(InMemoryStore::new(dataset.clone())),
         Box::new(RelationalStore::create(dir.join("d.k2bt"), &dataset).unwrap()),
         Box::new(LsmStore::bulk_load(dir.join("lsm"), &dataset).unwrap()),

@@ -5,8 +5,7 @@
 use k2hop::model::{Dataset, Point};
 use k2hop::storage::{
     replay_wal, CompactionPolicy, FlatFileStore, InMemoryStore, IoCounters, LsmConfig, LsmStore,
-    RelationalStore, SnapshotSource, TrajectoryStore, WalSyncPolicy, WalWriter, VAL_SIZE,
-    WAL_FRAME_SIZE,
+    RelationalStore, SnapshotSource, WalSyncPolicy, WalWriter, VAL_SIZE, WAL_FRAME_SIZE,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -64,7 +63,7 @@ fn model_of(points: &[Point]) -> BTreeMap<(u32, u32), (f64, f64)> {
     m
 }
 
-fn check_against_model(store: &dyn TrajectoryStore, model: &BTreeMap<(u32, u32), (f64, f64)>) {
+fn check_against_model(store: &dyn SnapshotSource, model: &BTreeMap<(u32, u32), (f64, f64)>) {
     let (t_lo, t_hi) = (
         model.keys().map(|k| k.0).min().unwrap(),
         model.keys().map(|k| k.0).max().unwrap(),
@@ -125,7 +124,7 @@ proptest! {
             max_tables: 3,
             ..LsmConfig::default()
         };
-        let mut lsm = LsmStore::create_with(dir.join("lsm"), config).unwrap();
+        let lsm = LsmStore::create_with(dir.join("lsm"), config).unwrap();
         for (i, p) in points.iter().enumerate() {
             lsm.insert(*p).unwrap();
             if i % flush_every == flush_every - 1 {
@@ -134,7 +133,7 @@ proptest! {
         }
         let model = model_of(&points);
         check_against_model(&lsm, &model);
-        lsm.compact().unwrap();
+        lsm.compact_blocking().unwrap();
         check_against_model(&lsm, &model);
         // Reopen sees everything that was flushed; flush first so all is.
         lsm.flush().unwrap();
@@ -218,7 +217,7 @@ proptest! {
             wal_sync: WalSyncPolicy::EveryAppend,
             ..LsmConfig::default()
         };
-        let mut lsm = LsmStore::create_with(dir.join("lsm"), config).unwrap();
+        let lsm = LsmStore::create_with(dir.join("lsm"), config).unwrap();
         for (i, p) in points.iter().enumerate() {
             lsm.insert(*p).unwrap();
             if i % flush_every == flush_every - 1 {
@@ -246,13 +245,14 @@ proptest! {
         let dir = tmp("cachecount", salt);
         let lsm = LsmStore::bulk_load(dir.join("lsm"), &Dataset::from_points(&points).unwrap()).unwrap();
         let t = points[0].t;
-        lsm.reset_io_stats();
+        let loaded = lsm.io_stats();
         let first = lsm.scan_snapshot(t).unwrap();
-        let cold = lsm.io_stats();
+        let after_first = lsm.io_stats();
+        let cold = after_first.since(&loaded);
         assert_eq!(cold.blocks_read, cold.cache_misses, "misses are disk reads");
         let again = lsm.scan_snapshot(t).unwrap();
         assert_eq!(first, again);
-        let warm = lsm.io_stats().since(&cold);
+        let warm = lsm.io_stats().since(&after_first);
         assert_eq!(warm.cache_misses, 0, "default cache holds a toy table");
         assert_eq!(warm.blocks_read, 0);
         assert_eq!(warm.cache_hits, cold.cache_hits + cold.cache_misses,
