@@ -21,7 +21,7 @@
 
 use crate::sweep::{snapshot_sweep, SeedRule};
 use crate::BaselineResult;
-use k2_cluster::{DbscanParams, GridIndex};
+use k2_cluster::{DbscanParams, GridState};
 use k2_model::{Dataset, ObjPos, Oid, Snapshot};
 use k2_storage::{InMemoryStore, SnapshotSource, StoreResult};
 use std::collections::{HashMap, HashSet};
@@ -163,7 +163,8 @@ fn cluster_trajectories(polylines: &[Vec<(f64, f64)>], m: usize, eps: f64) -> Ve
             vertex_points.push(ObjPos::new(i as Oid, x, y));
         }
     }
-    let grid = GridIndex::build(&vertex_points, eps.max(f64::MIN_POSITIVE));
+    let mut grid = GridState::new();
+    grid.update(&vertex_points, eps.max(f64::MIN_POSITIVE));
     let mut vertex_near: Vec<HashSet<u32>> = vec![HashSet::new(); n];
     let mut scratch = Vec::new();
     for (vi, vp) in vertex_points.iter().enumerate() {

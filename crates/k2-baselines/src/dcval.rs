@@ -10,7 +10,7 @@
 //! connected the survivors earlier on. [`crate::reference::validate_fc`]
 //! implements the corrected recursive validation.
 
-use k2_cluster::{recluster, DbscanParams};
+use k2_cluster::{dbscan, DbscanParams};
 use k2_model::{Convoy, ConvoySet};
 use k2_storage::{SnapshotSource, StoreResult};
 
@@ -37,7 +37,7 @@ pub fn dcval_original<S: SnapshotSource + ?Sized>(
             for v in &active {
                 store.multi_get_into(t, v.objects.ids(), &mut posbuf)?;
                 points += posbuf.len() as u64;
-                let clusters = recluster(&posbuf, params);
+                let clusters = dbscan(&posbuf, params);
                 let mut intact = false;
                 for c in &clusters {
                     if *c == v.objects {

@@ -18,7 +18,7 @@
 
 use crate::sweep::{snapshot_sweep, SeedRule};
 use crate::BaselineResult;
-use k2_cluster::{recluster, DbscanParams};
+use k2_cluster::{dbscan, DbscanParams};
 use k2_model::{Convoy, ConvoySet, ObjectSet, TimeInterval};
 use k2_storage::{SnapshotSource, StoreResult};
 
@@ -65,7 +65,7 @@ pub fn validate_fc<S: SnapshotSource + ?Sized>(
     for t in span.iter() {
         store.multi_get_into(t, objects.ids(), &mut posbuf)?;
         *points += posbuf.len() as u64;
-        let clusters = recluster(&posbuf, params);
+        let clusters = dbscan(&posbuf, params);
         let intact = clusters.len() == 1 && clusters[0] == *objects;
         if !intact {
             broken = Some((t, clusters));

@@ -1,18 +1,14 @@
-//! Uniform-grid spatial index for eps-neighbourhood queries.
+//! Shared geometry of the uniform clustering grid: the distance kernel
+//! of the 3×3 probe and the self-tuning CSR extent that
+//! [`GridState`](crate::GridState) is built over.
 //!
-//! Two physical layouts share one logical index:
-//!
-//! * **CSR** (the default): a counting-sort compressed-sparse-row layout
-//!   over the snapshot's bounding box — one `offsets` array of
-//!   `cols * rows + 1` cell boundaries and one `slots` array holding every
-//!   point index, grouped by row-major cell id. Building it is three
-//!   linear passes with zero hashing, and a 3×3 neighbourhood probe reads
-//!   exactly three contiguous `slots` ranges (one per grid row), which the
-//!   prefetcher loves.
-//! * **Sparse** (the fallback): the original `HashMap<(i64, i64), Vec<u32>>`
-//!   keyed by absolute cell coordinates, used when no dense geometry
-//!   exists at all — non-finite coordinates, or an aspect ratio so
-//!   extreme that even density-derived cells blow the cell budget.
+//! The grid's dense layout is a counting-sort compressed-sparse-row (CSR)
+//! array over the snapshot's bounding box: cell regions grouped by
+//! row-major cell id, so a 3×3 neighbourhood probe reads three contiguous
+//! slot ranges (one per grid row). When no dense geometry exists at all —
+//! non-finite coordinates, or an aspect ratio so extreme that even
+//! density-derived cells blow the cell budget — [`csr_extent`] returns
+//! `None` and the grid falls back to a sparse `HashMap` of cells.
 //!
 //! The CSR cell side self-tunes in two regimes: metric-scale extents use
 //! the extent-to-eps ratio directly (cell = eps, mildly coarsened), and
@@ -20,13 +16,8 @@
 //! around `1e-5`, where that ratio reaches the millions — derive the cell
 //! side from snapshot point *density* over a percentile-clipped bounding
 //! box, with outliers clamped into the border cells.
-//!
-//! All buffers live inside the [`GridIndex`] value and are reused by
-//! [`GridIndex::rebuild`], so the thousands of tiny `recluster` probes in
-//! the HWMT / extension / validation phases amortise every allocation.
 
 use k2_model::ObjPos;
-use std::collections::HashMap;
 
 /// Appends every candidate within distance `sqrt(eps2)` of `q` to `out` —
 /// the distance filter of the 3×3 probe, manually vectorized.
@@ -113,233 +104,9 @@ const CSR_MIN_CELL_BUDGET: usize = 1 << 16;
 /// Absolute ceiling on dense cells (bounds `offsets` to ~64 MiB).
 const CSR_ABS_MAX_CELLS: usize = 1 << 24;
 
-/// A uniform grid over a point set with cell side `eps`.
-///
-/// An eps-neighbourhood is fully contained in the 3×3 block of cells
-/// around a point's cell, so a neighbourhood query inspects at most nine
-/// cells and filters by exact distance. For the quasi-uniform snapshots of
-/// movement data this gives expected `O(1)` work per query and `O(n)` per
-/// DBSCAN run, replacing the `O(n²)` pairwise scan the paper identifies as
-/// the bottleneck of naive implementations.
-#[derive(Debug, Default)]
-pub struct GridIndex {
-    cell: f64,
-    /// Which layout the last `rebuild` chose.
-    repr: Repr,
-    // --- CSR layout (valid when `repr == Repr::Csr`) ---
-    min_x: f64,
-    min_y: f64,
-    cols: usize,
-    rows: usize,
-    /// `offsets[c]..offsets[c + 1]` is the `slots` range of cell `c`.
-    offsets: Vec<u32>,
-    /// Point indices grouped by row-major cell id.
-    slots: Vec<u32>,
-    /// Build scratch: cell id of each point (reused across rebuilds).
-    cell_of: Vec<u32>,
-    /// Build scratch: coordinate buffer for the density path's
-    /// percentile selection (reused across rebuilds).
-    percentiles: Vec<f64>,
-    // --- sparse fallback (valid when `repr == Repr::Sparse`) ---
-    sparse: HashMap<(i64, i64), Vec<u32>>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum Repr {
-    #[default]
-    Csr,
-    Sparse,
-}
-
-impl GridIndex {
-    /// Creates an empty index (no points, no allocation). Populate it with
-    /// [`rebuild`](Self::rebuild).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds the index over `points` with cell side `eps`.
-    pub fn build(points: &[ObjPos], eps: f64) -> Self {
-        let mut g = Self::new();
-        g.rebuild(points, eps);
-        g
-    }
-
-    /// Builds the index using the sparse `HashMap` layout unconditionally.
-    ///
-    /// This is the pre-CSR representation, kept as the degenerate-extent
-    /// fallback; the constructor is public so property tests and benches
-    /// can compare the two layouts directly.
-    pub fn build_sparse(points: &[ObjPos], eps: f64) -> Self {
-        let mut g = Self::new();
-        g.rebuild_sparse(points, eps);
-        g
-    }
-
-    /// Re-populates the index over `points`, reusing every internal
-    /// buffer from previous builds (the `recluster` hot path).
-    pub fn rebuild(&mut self, points: &[ObjPos], eps: f64) {
-        debug_assert!(eps > 0.0 && eps.is_finite());
-        match csr_extent(points, eps, &mut self.percentiles) {
-            Some(extent) => self.rebuild_csr(points, extent),
-            None => self.rebuild_sparse(points, eps),
-        }
-    }
-
-    /// The cell side of the last build (diagnostics / tests).
-    pub fn cell_side(&self) -> f64 {
-        self.cell
-    }
-
-    /// Is the dense CSR layout active (diagnostics / tests)?
-    pub fn is_csr(&self) -> bool {
-        self.repr == Repr::Csr
-    }
-
-    fn rebuild_csr(&mut self, points: &[ObjPos], extent: CsrExtent) {
-        self.cell = extent.cell;
-        self.repr = Repr::Csr;
-        self.min_x = extent.min_x;
-        self.min_y = extent.min_y;
-        self.cols = extent.cols;
-        self.rows = extent.rows;
-        self.sparse.clear();
-
-        let cells = extent.cols * extent.rows;
-        // Pass 1: cell id per point + per-cell counts (in `offsets`).
-        self.offsets.clear();
-        self.offsets.resize(cells + 1, 0);
-        self.cell_of.clear();
-        self.cell_of.reserve(points.len());
-        for p in points {
-            // Clamped into the grid: the density path's percentile-clipped
-            // box can exclude outlier points, which land in the border
-            // cells (and a full-extent box makes the clamp a no-op — the
-            // float-to-usize cast already saturates negatives to 0).
-            let col = (((p.x - extent.min_x) / extent.cell) as usize).min(extent.cols - 1);
-            let row = (((p.y - extent.min_y) / extent.cell) as usize).min(extent.rows - 1);
-            let cell = (row * extent.cols + col) as u32;
-            self.cell_of.push(cell);
-            self.offsets[cell as usize + 1] += 1;
-        }
-        // Pass 2: exclusive prefix sum -> cell start offsets.
-        let mut acc = 0u32;
-        for o in self.offsets.iter_mut() {
-            acc += *o;
-            *o = acc;
-        }
-        // Pass 3: scatter point indices into their cell's slot range.
-        // After this loop `offsets[c]` has advanced to the *end* of cell
-        // c's range, i.e. exactly the value `offsets[c + 1]` had before —
-        // so reading ranges as `offsets[c]..offsets[c + 1]` works with
-        // `offsets[0]` implicitly 0 via the shifted indexing below.
-        self.slots.clear();
-        self.slots.resize(points.len(), 0);
-        for (i, &cell) in self.cell_of.iter().enumerate() {
-            let slot = self.offsets[cell as usize];
-            self.slots[slot as usize] = i as u32;
-            self.offsets[cell as usize] += 1;
-        }
-        // `offsets[c]` now holds end-of-cell-c == start-of-cell-(c+1), and
-        // `offsets[cells]` == points.len(); ranges are read shifted:
-        // cell c spans `start(c)..offsets[c]` with start(0) == 0 and
-        // start(c) == offsets[c - 1]`.
-    }
-
-    fn rebuild_sparse(&mut self, points: &[ObjPos], eps: f64) {
-        self.cell = eps;
-        self.repr = Repr::Sparse;
-        self.offsets.clear();
-        self.slots.clear();
-        self.cell_of.clear();
-        for bucket in self.sparse.values_mut() {
-            bucket.clear();
-        }
-        for (i, p) in points.iter().enumerate() {
-            self.sparse
-                .entry(Self::sparse_key(p, eps))
-                .or_default()
-                .push(i as u32);
-        }
-        // Cells occupied in a previous build but empty now would otherwise
-        // linger as empty buckets and skew `occupied_cells`.
-        self.sparse.retain(|_, bucket| !bucket.is_empty());
-    }
-
-    #[inline]
-    fn sparse_key(p: &ObjPos, cell: f64) -> (i64, i64) {
-        ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
-    }
-
-    /// `slots` range of CSR cell `c` (see `rebuild_csr` for why the
-    /// offsets are read shifted by one).
-    #[inline]
-    fn cell_range(&self, c: usize) -> std::ops::Range<usize> {
-        let start = if c == 0 {
-            0
-        } else {
-            self.offsets[c - 1] as usize
-        };
-        start..self.offsets[c] as usize
-    }
-
-    /// Appends the indices of all points within distance `sqrt(eps2)` of
-    /// `points[idx]` (including `idx` itself) to `out`.
-    pub fn neighbours(&self, points: &[ObjPos], idx: usize, eps2: f64, out: &mut Vec<u32>) {
-        let p = &points[idx];
-        match self.repr {
-            Repr::Csr => {
-                if self.slots.is_empty() {
-                    return;
-                }
-                // Same clamp as the build pass, so a probe point outside
-                // the (possibly clipped) box looks in the border cells its
-                // neighbours were clamped into.
-                let col = (((p.x - self.min_x) / self.cell) as usize).min(self.cols - 1);
-                let row = (((p.y - self.min_y) / self.cell) as usize).min(self.rows - 1);
-                let lo_c = col.saturating_sub(1);
-                let hi_c = (col + 1).min(self.cols - 1);
-                let lo_r = row.saturating_sub(1);
-                let hi_r = (row + 1).min(self.rows - 1);
-                for r in lo_r..=hi_r {
-                    // Cells of one grid row are adjacent in `offsets`, so
-                    // the 3-cell block is a single contiguous slot range.
-                    let start = self.cell_range(r * self.cols + lo_c).start;
-                    let end = self.cell_range(r * self.cols + hi_c).end;
-                    dist2_filter_chunked(points, &self.slots[start..end], p, eps2, out);
-                }
-            }
-            Repr::Sparse => {
-                let (cx, cy) = Self::sparse_key(p, self.cell);
-                for dx in -1..=1 {
-                    for dy in -1..=1 {
-                        if let Some(bucket) = self.sparse.get(&(cx + dx, cy + dy)) {
-                            dist2_filter_chunked(points, bucket, p, eps2, out);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Number of occupied cells (diagnostics).
-    pub fn occupied_cells(&self) -> usize {
-        match self.repr {
-            Repr::Csr => (0..self.cols * self.rows)
-                .filter(|&c| !self.cell_range(c).is_empty())
-                .count(),
-            Repr::Sparse => self.sparse.len(),
-        }
-    }
-}
-
-/// Bounding-box geometry of a CSR build, or `None` when the sparse
-/// fallback must be used. `cell` is the chosen cell side — `eps`, a
-/// bounded multiple of it (extent path), or a density-derived side (geo
-/// path); always `>= eps`, which is all the 3×3 probe needs.
-///
-/// Shared between [`GridIndex`] and the patchable
-/// [`GridState`](crate::GridState) so both layouts self-tune identically.
+/// Bounding-box geometry of a CSR build. `cell` is the chosen cell side —
+/// `eps`, a bounded multiple of it (extent path), or a density-derived
+/// side (geo path); always `>= eps`, which is all the 3×3 probe needs.
 pub(crate) struct CsrExtent {
     pub(crate) min_x: f64,
     pub(crate) min_y: f64,
@@ -366,6 +133,9 @@ fn grid_dims(span_x: f64, span_y: f64, cell: f64) -> Option<(usize, usize, usize
     Some((cols, rows, cells))
 }
 
+/// The CSR geometry for `points` at `eps`, or `None` when the sparse
+/// fallback must be used. `percentiles` is reusable scratch for the
+/// density path.
 pub(crate) fn csr_extent(
     points: &[ObjPos],
     eps: f64,
@@ -438,7 +208,8 @@ pub(crate) fn csr_extent(
 /// eps of `1e-5`-ish degrees) on the CSR layout; before it, any snapshot
 /// whose extent exceeded `8 × eps × budget` silently fell back to the
 /// `HashMap`. Points outside the clipped box clamp into the border cells
-/// (see `rebuild_csr`), which preserves the 3×3 probe guarantee.
+/// (see `GridState::rebuild_csr`), which preserves the 3×3 probe
+/// guarantee.
 fn density_extent(
     points: &[ObjPos],
     eps: f64,
@@ -495,7 +266,21 @@ fn density_extent(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::GridState;
+    use k2_model::ObjPos;
+
+    fn build(points: &[ObjPos], eps: f64) -> GridState {
+        let mut grid = GridState::new();
+        grid.update(points, eps);
+        grid
+    }
+
+    fn sorted_neighbours(grid: &GridState, points: &[ObjPos], idx: usize, eps2: f64) -> Vec<u32> {
+        let mut out = Vec::new();
+        grid.neighbours(points, idx, eps2, &mut out);
+        out.sort_unstable();
+        out
+    }
 
     fn brute(points: &[ObjPos], idx: usize, eps2: f64) -> Vec<u32> {
         let p = &points[idx];
@@ -509,17 +294,24 @@ mod tests {
         v
     }
 
+    /// Both layouts answer every neighbourhood exactly: the grid over
+    /// `points`, and the grid over `points` plus one non-finite point
+    /// (which has no cell, so it forces the sparse fallback).
     fn assert_matches_brute(points: &[ObjPos], eps: f64) {
-        let csr = GridIndex::build(points, eps);
-        let sparse = GridIndex::build_sparse(points, eps);
+        let mut with_nan = points.to_vec();
+        with_nan.push(ObjPos::new(u32::MAX, f64::NAN, 0.0));
+        let sparse = build(&with_nan, eps);
+        assert!(!sparse.is_csr());
+        let grid = build(points, eps);
         for idx in 0..points.len() {
             let want = brute(points, idx, eps * eps);
-            for (label, grid) in [("csr", &csr), ("sparse", &sparse)] {
-                let mut got = Vec::new();
-                grid.neighbours(points, idx, eps * eps, &mut got);
-                got.sort_unstable();
-                assert_eq!(got, want, "{label} idx {idx}");
-            }
+            assert_eq!(
+                sorted_neighbours(&grid, points, idx, eps * eps),
+                want,
+                "idx {idx}"
+            );
+            let got = sorted_neighbours(&sparse, &with_nan, idx, eps * eps);
+            assert_eq!(got, want, "sparse idx {idx}");
         }
     }
 
@@ -539,11 +331,8 @@ mod tests {
     #[test]
     fn includes_self_and_exact_boundary() {
         let points = vec![ObjPos::new(0, 0.0, 0.0), ObjPos::new(1, 1.0, 0.0)];
-        let grid = GridIndex::build(&points, 1.0);
-        let mut out = Vec::new();
-        grid.neighbours(&points, 0, 1.0, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1]);
+        let grid = build(&points, 1.0);
+        assert_eq!(sorted_neighbours(&grid, &points, 0, 1.0), vec![0, 1]);
     }
 
     #[test]
@@ -553,51 +342,41 @@ mod tests {
             ObjPos::new(1, 0.4, 0.4),
             ObjPos::new(2, -5.0, -5.0),
         ];
-        let grid = GridIndex::build(&points, 2.0);
-        let mut out = Vec::new();
-        grid.neighbours(&points, 0, 4.0, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1]);
+        let grid = build(&points, 2.0);
+        assert_eq!(sorted_neighbours(&grid, &points, 0, 4.0), vec![0, 1]);
         assert_matches_brute(&points, 2.0);
     }
 
     #[test]
-    fn occupied_cells_counts_buckets() {
+    fn far_apart_cells_stay_separate() {
         let points = vec![
             ObjPos::new(0, 0.1, 0.1),
             ObjPos::new(1, 0.2, 0.2),
             ObjPos::new(2, 10.0, 10.0),
         ];
-        let grid = GridIndex::build(&points, 1.0);
-        assert_eq!(grid.occupied_cells(), 2);
-        let sparse = GridIndex::build_sparse(&points, 1.0);
-        assert_eq!(sparse.occupied_cells(), 2);
+        assert_matches_brute(&points, 1.0);
     }
 
     #[test]
     fn rebuild_reuses_buffers_across_extents() {
-        let mut grid = GridIndex::new();
+        let mut grid = GridState::new();
         let a = vec![ObjPos::new(0, 0.0, 0.0), ObjPos::new(1, 0.5, 0.5)];
-        grid.rebuild(&a, 1.0);
+        grid.update(&a, 1.0);
         assert!(grid.is_csr());
-        let mut out = Vec::new();
-        grid.neighbours(&a, 0, 1.0, &mut out);
-        assert_eq!(out.len(), 2);
+        assert_eq!(sorted_neighbours(&grid, &a, 0, 1.0).len(), 2);
 
-        // Rebuild over a different, bigger cloud: results must match a
-        // fresh build.
+        // Re-update over a different, bigger cloud: results must match
+        // brute force.
         let b: Vec<ObjPos> = (0..50)
             .map(|i| ObjPos::new(i, (i % 7) as f64 * 0.9, (i / 7) as f64 * 0.9 - 3.0))
             .collect();
-        grid.rebuild(&b, 1.0);
-        let fresh = GridIndex::build(&b, 1.0);
+        grid.update(&b, 1.0);
         for idx in 0..b.len() {
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            grid.neighbours(&b, idx, 1.0, &mut got);
-            fresh.neighbours(&b, idx, 1.0, &mut want);
-            got.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(got, want, "idx {idx}");
+            assert_eq!(
+                sorted_neighbours(&grid, &b, idx, 1.0),
+                brute(&b, idx, 1.0),
+                "idx {idx}"
+            );
         }
     }
 
@@ -612,13 +391,10 @@ mod tests {
             ObjPos::new(1, 0.5, 0.0),
             ObjPos::new(2, 1.0e12, 1.0e12),
         ];
-        let grid = GridIndex::build(&points, 1.0);
+        let grid = build(&points, 1.0);
         assert!(grid.is_csr());
         assert!(grid.cell_side() >= 1.0);
-        let mut out = Vec::new();
-        grid.neighbours(&points, 0, 1.0, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1]);
+        assert_eq!(sorted_neighbours(&grid, &points, 0, 1.0), vec![0, 1]);
         assert_matches_brute(&points, 1.0);
     }
 
@@ -634,9 +410,8 @@ mod tests {
     fn trucks_extent_with_latlon_eps_selects_csr() {
         // Athens-shaped Trucks extents (degrees: ~0.5° × 0.35°) mined at a
         // paper-range eps of 2e-5 degrees: the extent-to-eps ratio is
-        // ~25 000 per axis, far past the old 8× coarsening cap, which
-        // silently fell back to the HashMap layout. The density path must
-        // keep this on CSR and stay exact.
+        // ~25 000 per axis, far past the 8× coarsening cap of the extent
+        // path. The density path must keep this on CSR and stay exact.
         let mut state = 0x5eed;
         let points: Vec<ObjPos> = (0..300)
             .map(|i| {
@@ -648,7 +423,7 @@ mod tests {
             })
             .collect();
         let eps = 2.0e-5;
-        let grid = GridIndex::build(&points, eps);
+        let grid = build(&points, eps);
         assert!(grid.is_csr(), "lat/lon-scale eps must stay on CSR");
         assert!(grid.cell_side() >= eps);
         assert_matches_brute(&points, eps);
@@ -660,10 +435,9 @@ mod tests {
             ObjPos::new(901, 23.7 + 1.0e-5, 38.0),
             ObjPos::new(902, 23.7, 38.0 + 1.0e-5),
         ]);
-        let grid = GridIndex::build(&platoon, eps);
+        let grid = build(&platoon, eps);
         assert!(grid.is_csr());
-        let mut out = Vec::new();
-        grid.neighbours(&platoon, 300, eps * eps, &mut out);
+        let out = sorted_neighbours(&grid, &platoon, 300, eps * eps);
         assert!(out.contains(&301) && out.contains(&302));
     }
 
@@ -688,7 +462,7 @@ mod tests {
         points.push(ObjPos::new(901, 480.0 + 5.0e-5, 220.0)); // within eps of 900
         points.push(ObjPos::new(902, -310.0, -85.0));
         let eps = 1.0e-4;
-        let grid = GridIndex::build(&points, eps);
+        let grid = build(&points, eps);
         assert!(grid.is_csr(), "outlier-stretched extent must stay on CSR");
         assert_matches_brute(&points, eps);
     }
@@ -702,7 +476,7 @@ mod tests {
         let points: Vec<ObjPos> = (0..200)
             .map(|i| ObjPos::new(i, (i as f64) * 5050.0, 42.0))
             .collect();
-        let grid = GridIndex::build(&points, 0.5);
+        let grid = build(&points, 0.5);
         assert!(grid.is_csr());
         assert_matches_brute(&points, 0.5);
         // And with a dense cluster on the same line, neighbours resolve.
@@ -716,12 +490,9 @@ mod tests {
         // Zero-span box in both axes exercises the density path's
         // degenerate branch (cell = eps, 1×1 grid).
         let points: Vec<ObjPos> = (0..40).map(|i| ObjPos::new(i, 7.25, -3.5)).collect();
-        let grid = GridIndex::build(&points, 1.0e-9);
+        let grid = build(&points, 1.0e-9);
         assert!(grid.is_csr());
-        assert_eq!(grid.occupied_cells(), 1);
-        let mut out = Vec::new();
-        grid.neighbours(&points, 0, 0.0, &mut out);
-        assert_eq!(out.len(), 40);
+        assert_eq!(sorted_neighbours(&grid, &points, 0, 0.0).len(), 40);
     }
 
     #[test]
@@ -731,12 +502,9 @@ mod tests {
             ObjPos::new(1, 0.5, 0.0),
             ObjPos::new(2, f64::NAN, 3.0),
         ];
-        let grid = GridIndex::build(&points, 1.0);
+        let grid = build(&points, 1.0);
         assert!(!grid.is_csr());
-        let mut out = Vec::new();
-        grid.neighbours(&points, 0, 1.0, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1]);
+        assert_eq!(sorted_neighbours(&grid, &points, 0, 1.0), vec![0, 1]);
     }
 
     #[test]
@@ -752,18 +520,14 @@ mod tests {
     #[test]
     fn single_point_grid() {
         let points = vec![ObjPos::new(7, -3.25, 9.75)];
-        let grid = GridIndex::build(&points, 2.0);
+        let grid = build(&points, 2.0);
         assert!(grid.is_csr());
-        let mut out = Vec::new();
-        grid.neighbours(&points, 0, 4.0, &mut out);
-        assert_eq!(out, vec![0]);
-        assert_eq!(grid.occupied_cells(), 1);
+        assert_eq!(sorted_neighbours(&grid, &points, 0, 4.0), vec![0]);
     }
 
     #[test]
     fn empty_point_set_is_fine() {
-        let grid = GridIndex::build(&[], 1.0);
-        assert!(!grid.is_csr(), "no extent: sparse (and empty) repr");
-        assert_eq!(grid.occupied_cells(), 0);
+        let grid = build(&[], 1.0);
+        assert!(!grid.is_csr(), "no extent: no CSR layout");
     }
 }

@@ -1,4 +1,12 @@
-//! Incrementally patchable grid index for benchmark clustering.
+//! The crate's uniform grid: an eps-neighbourhood index that is patched
+//! incrementally between related point sets.
+//!
+//! An eps-neighbourhood is fully contained in the 3×3 block of cells
+//! around a point's cell (any cell side `>= eps`), so a query inspects at
+//! most nine cells and filters by exact distance. For the quasi-uniform
+//! snapshots of movement data this gives expected `O(1)` work per query
+//! and `O(n)` per DBSCAN run, replacing the `O(n²)` pairwise scan the
+//! paper identifies as the bottleneck of naive implementations.
 //!
 //! Consecutive benchmark snapshots share most of their geometry — objects
 //! move a bounded distance per timestamp — so rebuilding the counting-sort
@@ -6,16 +14,17 @@
 //! still valid. [`GridState`] keeps the previous build alive and *patches*
 //! it: the two position arrays are diffed by index, and only the objects
 //! whose cell changed are deleted from their old cell and inserted into
-//! their new one.
+//! their new one. All buffers live inside the value, so a rebuild
+//! allocates nothing in steady state either.
 //!
 //! # Layout
 //!
-//! The layout is packed CSR with an explicit live count: `start` holds
-//! the per-cell region bounds exactly like [`GridIndex`]'s `offsets`
-//! (regions abut, no gaps), and `len` the live occupancy of each region.
+//! The layout is packed CSR with an explicit live count: `start[c]` is
+//! where cell `c`'s slot region begins (regions abut in row-major cell
+//! order, no gaps), and `len` the live occupancy of each region.
 //! While the grid is *clean* — every region full, no patch holes — the
 //! 3×3 probe scans each row of the block as **one contiguous slot
-//! range**, the same memory walk as the one-shot index. A slot-move
+//! range**. A slot-move
 //! patch dirties the layout: a move swap-removes the point out of its
 //! old cell's region (leaving a hole at the region's tail) and appends
 //! it into a hole of its new cell if one exists, overflowing into a tiny
@@ -29,14 +38,13 @@
 //! [`GridState::update`] runs one `O(n)` diff pass (new cell per point,
 //! out-of-box count, churn count) and then picks the cheapest sound
 //! path. A **full rebuild** (fresh extent, fresh cell-side tuning via
-//! the same [`csr_extent`] the one-shot [`GridIndex`] uses — the
-//! self-tuning extent/density split stays exact) happens only when the
-//! *retained geometry* is stale:
+//! [`csr_extent`], the self-tuning extent/density split) happens only
+//! when the *retained geometry* is stale:
 //!
 //! * no previous CSR build, or `eps` changed (the cell side and the 3×3
 //!   guarantee are derived from it);
-//! * any non-finite coordinate (no cell exists; the sparse fallback
-//!   handles it, exactly as in [`GridIndex`]);
+//! * any non-finite coordinate (no cell exists; the sparse `HashMap`
+//!   fallback handles it);
 //! * the population halved or doubled since the geometry was last tuned
 //!   — the cell side was picked for that count, and the occupancy
 //!   target has drifted too far;
@@ -137,13 +145,10 @@ enum StateRepr {
 /// A reusable, incrementally patchable uniform grid (see the module docs
 /// for the layout and the patch-or-rebuild heuristic).
 ///
-/// The probe contract is identical to [`GridIndex`]: after
-/// [`update`](Self::update) over `points`,
+/// After [`update`](Self::update) over `points`,
 /// [`neighbours`](Self::neighbours) appends the exact eps-neighbourhood
 /// of `points[idx]` (self included, boundary inclusive) in unspecified
 /// order.
-///
-/// [`GridIndex`]: crate::GridIndex
 #[derive(Debug, Default)]
 pub struct GridState {
     eps: f64,
@@ -162,8 +167,7 @@ pub struct GridState {
     /// the diff pass multiply instead of divide (the probe's two index
     /// divisions are latency-bound right before a dependent load). Both
     /// maps use the *same* product, so assignment and probe centre agree
-    /// exactly; the 3×3 window absorbs any boundary-ulp drift versus the
-    /// division-based `GridIndex`.
+    /// exactly.
     inv_cell: f64,
     cols: usize,
     rows: usize,
@@ -214,7 +218,7 @@ impl GridState {
         self.eps = eps;
         match csr_extent(points, eps, &mut self.percentiles) {
             Some(extent) => self.rebuild_csr(points, extent),
-            None => self.rebuild_sparse(points, eps),
+            None => self.rebuild_hashmap(points, eps),
         }
     }
 
@@ -321,8 +325,7 @@ impl GridState {
                 let hi_r = (row + 1).min(self.rows - 1);
                 if !self.dirty {
                     // Clean layout: regions abut and are full, so each
-                    // probe row is one contiguous slot range — the same
-                    // memory walk as the one-shot `GridIndex`.
+                    // probe row is one contiguous slot range.
                     debug_assert!(self.spill.is_empty());
                     for r in lo_r..=hi_r {
                         let s = self.start[r * self.cols + lo_c] as usize;
@@ -524,8 +527,10 @@ impl GridState {
         self.len.resize(cells, 0);
         let inv_cell = self.inv_cell;
         for p in points {
-            // Same clamp as `GridIndex::rebuild_csr`: outliers beyond a
-            // percentile-clipped box land in the border cells.
+            // Clamped into the grid: outliers beyond the density path's
+            // percentile-clipped box land in the border cells (and for a
+            // full-extent box the clamp is a no-op — the float-to-usize
+            // cast already saturates negatives to 0).
             let col = (((p.x - extent.min_x) * inv_cell) as usize).min(extent.cols - 1);
             let row = (((p.y - extent.min_y) * inv_cell) as usize).min(extent.rows - 1);
             let cell = (row * extent.cols + col) as u32;
@@ -581,7 +586,7 @@ impl GridState {
         self.scatter(cells);
     }
 
-    fn rebuild_sparse(&mut self, points: &[ObjPos], eps: f64) {
+    fn rebuild_hashmap(&mut self, points: &[ObjPos], eps: f64) {
         self.repr = if points.is_empty() {
             StateRepr::Empty
         } else {
@@ -641,7 +646,6 @@ fn sparse_key(p: &ObjPos, cell: f64) -> (i64, i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GridIndex;
 
     /// Deterministic pseudo-random f64 in [0, 1) (no rand dependency).
     fn unit(state: &mut u64) -> f64 {
@@ -658,9 +662,19 @@ mod tests {
             .collect()
     }
 
-    /// Every point's neighbour set must match a fresh one-shot build.
+    /// Sorted brute-force eps-neighbourhood of `points[idx]`.
+    fn brute(points: &[ObjPos], idx: usize, eps2: f64) -> Vec<u32> {
+        let p = &points[idx];
+        (0..points.len() as u32)
+            .filter(|&j| points[j as usize].dist2(p) <= eps2)
+            .collect()
+    }
+
+    /// Every point's neighbour set must match both a freshly updated
+    /// `GridState` and brute force.
     fn assert_matches_fresh(state: &GridState, points: &[ObjPos], eps: f64) {
-        let fresh = GridIndex::build(points, eps);
+        let mut fresh = GridState::new();
+        fresh.update(points, eps);
         for idx in 0..points.len() {
             let (mut got, mut want) = (Vec::new(), Vec::new());
             state.neighbours(points, idx, eps * eps, &mut got);
@@ -668,6 +682,7 @@ mod tests {
             got.sort_unstable();
             want.sort_unstable();
             assert_eq!(got, want, "idx {idx}");
+            assert_eq!(got, brute(points, idx, eps * eps), "brute idx {idx}");
         }
     }
 
@@ -830,14 +845,12 @@ mod tests {
                 .map(|p| ObjPos::new(p.oid, p.x + shift as f64 * 10.0, p.y))
                 .collect();
             state.update(&moved, 1.0);
-            let fresh = GridIndex::build_sparse(&moved, 1.0);
+            assert!(!state.is_csr());
             for idx in 1..moved.len() {
-                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let mut got = Vec::new();
                 state.neighbours(&moved, idx, 1.0, &mut got);
-                fresh.neighbours(&moved, idx, 1.0, &mut want);
                 got.sort_unstable();
-                want.sort_unstable();
-                assert_eq!(got, want, "idx {idx}");
+                assert_eq!(got, brute(&moved, idx, 1.0), "idx {idx}");
             }
         }
     }

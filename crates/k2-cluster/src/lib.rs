@@ -1,16 +1,17 @@
 //! # k2-cluster — density-based clustering for convoy mining
 //!
 //! A from-scratch DBSCAN implementation (Ester et al., KDD 1996) tuned for
-//! the access pattern of convoy mining:
+//! the access pattern of convoy mining. [`dbscan`] clusters one snapshot
+//! of object positions with parameters `(m, eps)` — the paper's
+//! *(m, eps)-clusters* (Def. 2). Neighbourhood queries run against one
+//! uniform grid, [`GridState`] (cell side `>= eps`, patched in place
+//! between related point sets), giving expected `O(n)` total work instead
+//! of the naive `O(n²)`.
 //!
-//! * [`dbscan`] clusters one snapshot of object positions with parameters
-//!   `(m, eps)` — the paper's *(m, eps)-clusters* (Def. 2). Neighbourhood
-//!   queries run against a [`GridIndex`] (uniform grid with cell size
-//!   `eps`), giving expected `O(n)` total work instead of the naive
-//!   `O(n²)`.
-//! * [`recluster`] is the restricted variant `DBSCAN(DB[t]|O)` that the
-//!   HWMT, extension and validation phases of k/2-hop call thousands of
-//!   times on tiny candidate sets.
+//! The paper's `reCluster(v, DB[t])` — `DBSCAN(DB[t]|O)`, which the HWMT,
+//! extension and validation phases of k/2-hop call thousands of times on
+//! tiny candidate sets — is [`dbscan_with`] over the restriction of the
+//! snapshot to the candidate's objects, reusing one [`GridScratch`].
 //!
 //! Clusters are returned as sorted [`ObjectSet`]s of size ≥ `m`; noise
 //! points are omitted.
@@ -21,12 +22,10 @@
 //! density-connected points reachable from a core point (border points
 //! included).
 
-mod dsu;
 mod grid;
 mod grid_state;
 
-pub use dsu::DisjointSet;
-pub use grid::{dist2_filter_chunked, GridIndex};
+pub use grid::dist2_filter_chunked;
 pub use grid_state::{GridCounters, GridState};
 
 use k2_model::{ObjPos, ObjectSet, SetPool};
@@ -80,7 +79,7 @@ pub fn dbscan(points: &[ObjPos], params: DbscanParams) -> Vec<ObjectSet> {
     dbscan_with(points, params, &mut GridScratch::new())
 }
 
-/// Reusable working memory for [`dbscan_with`] / [`recluster_with`].
+/// Reusable working memory for [`dbscan_with`].
 ///
 /// One `GridScratch` amortises every allocation of the clustering hot
 /// path — the grid's CSR arrays, the visit labels, the BFS frontier and
@@ -391,27 +390,6 @@ fn dbscan_impl(
     out
 }
 
-/// The paper's `reCluster`: DBSCAN over a snapshot restricted to the
-/// objects of a candidate (`DBSCAN(DB[t]|O)`).
-///
-/// `restricted` must already be the restriction — this function is a thin
-/// semantic alias kept separate so call sites read like the pseudo-code.
-#[inline]
-pub fn recluster(restricted: &[ObjPos], params: DbscanParams) -> Vec<ObjectSet> {
-    dbscan(restricted, params)
-}
-
-/// [`recluster`] with caller-provided scratch — the form every hot loop
-/// (HWMT, extension, validation) uses.
-#[inline]
-pub fn recluster_with(
-    restricted: &[ObjPos],
-    params: DbscanParams,
-    scratch: &mut GridScratch,
-) -> Vec<ObjectSet> {
-    dbscan_with(restricted, params, scratch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,7 +525,7 @@ mod tests {
         let full = dbscan(&all, DbscanParams::new(2, 1.0));
         assert_eq!(full.len(), 1);
         let restricted = pts(&[(1, 0.0, 0.0), (3, 2.0, 0.0)]);
-        let sub = recluster(&restricted, DbscanParams::new(2, 1.0));
+        let sub = dbscan(&restricted, DbscanParams::new(2, 1.0));
         assert!(sub.is_empty());
     }
 

@@ -3,7 +3,7 @@
 
 use crate::{recluster_at_with, ProbeScratch};
 use k2_cluster::DbscanParams;
-use k2_model::{Convoy, ConvoySet, ConvoySetTuning, Time};
+use k2_model::{Convoy, ConvoySet, Time};
 use k2_storage::{SnapshotSource, StoreResult};
 
 /// Outcome of an extension pass.
@@ -34,7 +34,6 @@ pub fn extend_right<S: SnapshotSource + ?Sized>(
         params,
         convoys,
         Direction::Right(dataset_end),
-        ConvoySetTuning::default(),
         &mut ProbeScratch::default(),
     )
 }
@@ -56,7 +55,6 @@ pub fn extend_left<S: SnapshotSource + ?Sized>(
         params,
         convoys,
         Direction::Left(dataset_start, min_len),
-        ConvoySetTuning::default(),
         &mut ProbeScratch::default(),
     )
 }
@@ -70,17 +68,15 @@ pub(crate) enum Direction {
 }
 
 /// Algorithm 3 in either direction, reusing a caller-provided probe
-/// scratch; `tuning` shapes the result sets (what the pipeline passes from
-/// `K2Config::convoyset`).
+/// scratch.
 pub(crate) fn extend_directed<S: SnapshotSource + ?Sized>(
     store: &S,
     params: DbscanParams,
     convoys: impl IntoIterator<Item = Convoy>,
     dir: Direction,
-    tuning: ConvoySetTuning,
     scratch: &mut ProbeScratch,
 ) -> StoreResult<ExtendResult> {
-    let mut result = ConvoySet::with_tuning(tuning);
+    let mut result = ConvoySet::new();
     let mut points_fetched = 0u64;
     // The scratch holds probe buffers plus the set-interning pool, so a
     // convoy that extends intact re-derives the *same* (shared) object set
@@ -121,7 +117,7 @@ pub(crate) fn extend_directed<S: SnapshotSource + ?Sized>(
                     ts - 1
                 }
             };
-            let mut next = ConvoySet::with_tuning(tuning);
+            let mut next = ConvoySet::new();
             for v in &prev {
                 let (clusters, fetched) =
                     recluster_at_with(store, params, frontier, &v.objects, scratch)?;

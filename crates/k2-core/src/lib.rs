@@ -65,7 +65,7 @@ pub use miner::{ConvoyMiner, MineError, MineOutcome, MineStats};
 pub use pipeline::K2Hop;
 pub use stats::{GridStats, PhaseTimings, PrefetchStats, PruningStats};
 
-use k2_cluster::{recluster_with, DbscanParams, GridScratch};
+use k2_cluster::{dbscan_with, DbscanParams, GridScratch};
 use k2_model::{restrict_sorted_ids_into, ObjPos, ObjectSet, Oid, Time};
 use k2_storage::{SnapshotSource, StoreResult};
 
@@ -116,7 +116,7 @@ impl ProbeScratch {
     ) -> (Vec<ObjectSet>, u64) {
         self.positions.clear();
         restrict_sorted_ids_into(&self.union_positions, objects.ids(), &mut self.positions);
-        let clusters = recluster_with(&self.positions, params, &mut self.cluster);
+        let clusters = dbscan_with(&self.positions, params, &mut self.cluster);
         (clusters, self.positions.len() as u64)
     }
 }
@@ -136,6 +136,6 @@ pub(crate) fn recluster_at_with<S: SnapshotSource + ?Sized>(
 ) -> StoreResult<(Vec<ObjectSet>, u64)> {
     store.multi_get_into(t, objects.ids(), &mut scratch.positions)?;
     let fetched = scratch.positions.len() as u64;
-    let clusters = recluster_with(&scratch.positions, params, &mut scratch.cluster);
+    let clusters = dbscan_with(&scratch.positions, params, &mut scratch.cluster);
     Ok((clusters, fetched))
 }

@@ -5,7 +5,7 @@ use crate::candidates::candidate_clusters_pooled;
 use crate::config::K2Config;
 use crate::extend::{extend_directed, Direction};
 use crate::hwmt::mine_window_scratched;
-use crate::merge::merge_spanning_tuned;
+use crate::merge::merge_spanning;
 use crate::miner::{ConvoyMiner, MineError, MineOutcome, MineStats};
 use crate::par::{cluster_benchmark_snapshots, Executor, FanOut, Inline};
 use crate::stats::{GridStats, PruningStats};
@@ -130,7 +130,7 @@ impl K2Hop {
 
         // Step 4: merge into maximal spanning convoys.
         let t0 = Instant::now();
-        let merged = merge_spanning_tuned(&spanning, cfg.m, cfg.convoyset);
+        let merged = merge_spanning(&spanning, cfg.m);
         pruning.merged_convoys = merged.len() as u32;
         timings.merge = t0.elapsed();
 
@@ -153,9 +153,9 @@ impl K2Hop {
         let mut candidates: Vec<Convoy> = left.into_iter().collect();
         candidates.reverse();
         let validated = exec.map(source, &candidates, |src, scratch, v| {
-            validate_scratched(src, params, cfg.k, [v.clone()], cfg.convoyset, scratch)
+            validate_scratched(src, params, cfg.k, [v.clone()], scratch)
         })?;
-        let mut fc = ConvoySet::with_tuning(cfg.convoyset);
+        let mut fc = ConvoySet::new();
         for res in validated {
             pruning.validation_points += res.points_fetched;
             fc.merge(res.convoys);
@@ -180,12 +180,12 @@ where
     S: SnapshotSource + ?Sized,
     E: Executor<S>,
 {
-    let (params, tuning) = (cfg.dbscan(), cfg.convoyset);
+    let params = cfg.dbscan();
     let seeds: Vec<Convoy> = seeds.into_iter().collect();
     let passes = exec.map(source, &seeds, |src, scratch, seed| {
-        extend_directed(src, params, [seed.clone()], dir, tuning, scratch)
+        extend_directed(src, params, [seed.clone()], dir, scratch)
     })?;
-    let mut out = ConvoySet::with_tuning(tuning);
+    let mut out = ConvoySet::new();
     for pass in passes {
         *fetched += pass.points_fetched;
         out.merge(pass.convoys);

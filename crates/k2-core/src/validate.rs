@@ -23,7 +23,7 @@
 use crate::benchpoints::hwmt_star_order;
 use crate::{recluster_at_with, ProbeScratch};
 use k2_cluster::DbscanParams;
-use k2_model::{Convoy, ConvoySet, ConvoySetTuning, ObjectSet, SetPool, Time, TimeInterval};
+use k2_model::{Convoy, ConvoySet, ObjectSet, SetPool, Time, TimeInterval};
 use k2_storage::{SnapshotSource, StoreResult};
 use std::collections::HashMap;
 
@@ -48,20 +48,17 @@ pub fn validate<S: SnapshotSource + ?Sized>(
         params,
         min_len,
         candidates,
-        ConvoySetTuning::default(),
         &mut ProbeScratch::default(),
     )
 }
 
-/// [`validate`] reusing a caller-provided probe scratch; `tuning` shapes
-/// the maximal-FC result set (what the pipeline passes from
-/// `K2Config::convoyset`). Candidates are validated last to first.
+/// [`validate`] reusing a caller-provided probe scratch. Candidates are
+/// validated last to first.
 pub(crate) fn validate_scratched<S: SnapshotSource + ?Sized>(
     store: &S,
     params: DbscanParams,
     min_len: u32,
     candidates: impl IntoIterator<Item = Convoy>,
-    tuning: ConvoySetTuning,
     scratch: &mut ProbeScratch,
 ) -> StoreResult<ValidateResult> {
     let mut fetched = 0u64;
@@ -69,7 +66,7 @@ pub(crate) fn validate_scratched<S: SnapshotSource + ?Sized>(
         .into_iter()
         .filter(|v| v.len() >= min_len)
         .collect();
-    let mut fc = ConvoySet::with_tuning(tuning);
+    let mut fc = ConvoySet::new();
     while let Some(vin) = queue.pop() {
         // Per-candidate pool rotation: HWMT*'s probe repeats are within
         // one candidate's lifespan sweep; clearing bounds retention.

@@ -31,7 +31,7 @@ mod point;
 mod set_pool;
 mod snapshot;
 
-pub use convoy::{Convoy, ConvoySet, ConvoySetTuning};
+pub use convoy::{Convoy, ConvoySet};
 pub use dataset::{Dataset, DatasetBuilder, DatasetStats};
 pub use interval::TimeInterval;
 pub use object_set::ObjectSet;

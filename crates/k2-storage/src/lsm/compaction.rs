@@ -168,7 +168,7 @@ pub(crate) fn run_job(
     {
         let mut merge = MergeIter::over_tables(&readers, 0, &scratch_io)?;
         while let Some((k, v)) = merge.next()? {
-            w.put(k, &v)?;
+            w.add(k, &v)?;
             written += 1;
         }
     }

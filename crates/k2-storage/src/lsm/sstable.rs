@@ -264,11 +264,6 @@ impl BlockCache {
         }
     }
 
-    /// Drops every cached block belonging to table `id`.
-    pub fn evict_table(&self, id: u64) {
-        self.evict_tables(&[id]);
-    }
-
     /// Number of blocks currently resident (across all shards).
     pub fn len(&self) -> usize {
         self.shards
@@ -323,7 +318,9 @@ impl SsTableWriter {
         })
     }
 
-    /// Appends an entry; keys must arrive in strictly increasing order.
+    /// Appends an entry and records its key in the bloom filter; keys must
+    /// arrive in strictly increasing order (a rejected key leaves the
+    /// table, bloom filter included, untouched).
     pub fn add(&mut self, key: u64, val: &[u8; VAL_SIZE]) -> StoreResult<()> {
         if let Some(last) = self.last_key {
             if key <= last {
@@ -332,6 +329,7 @@ impl SsTableWriter {
                 )));
             }
         }
+        self.bloom.insert(key);
         self.last_key = Some(key);
         if self.block_first_key.is_none() {
             self.block_first_key = Some(key);
@@ -359,12 +357,6 @@ impl SsTableWriter {
         Ok(())
     }
 
-    /// Records a key in the bloom filter (done automatically by `add`;
-    /// exposed for tests).
-    pub fn note_bloom(&mut self, key: u64) {
-        self.bloom.insert(key);
-    }
-
     /// Finishes the table: writes index, bloom and footer.
     pub fn finish(mut self) -> StoreResult<PathBuf> {
         self.flush_block()?;
@@ -390,14 +382,6 @@ impl SsTableWriter {
         self.out.flush()?;
         self.out.get_ref().sync_all()?;
         Ok(self.path)
-    }
-}
-
-impl SsTableWriter {
-    /// Convenience: `add` + bloom in one call (the normal write path).
-    pub fn put(&mut self, key: u64, val: &[u8; VAL_SIZE]) -> StoreResult<()> {
-        self.bloom.insert(key);
-        self.add(key, val)
     }
 }
 
@@ -737,7 +721,7 @@ mod tests {
         let mut w = SsTableWriter::create(&path, 1024, 10).unwrap();
         for k in keys {
             let val = [(k % 251) as u8; VAL_SIZE];
-            w.put(k, &val).unwrap();
+            w.add(k, &val).unwrap();
         }
         w.finish().unwrap()
     }
@@ -858,9 +842,24 @@ mod tests {
     #[test]
     fn out_of_order_keys_rejected() {
         let mut w = SsTableWriter::create(tmp("order.k2ss"), 16, 10).unwrap();
-        w.put(10, &[0; VAL_SIZE]).unwrap();
-        assert!(w.put(10, &[0; VAL_SIZE]).is_err());
-        assert!(w.put(5, &[0; VAL_SIZE]).is_err());
+        w.add(10, &[0; VAL_SIZE]).unwrap();
+        assert!(w.add(10, &[0; VAL_SIZE]).is_err());
+        assert!(w.add(5, &[0; VAL_SIZE]).is_err());
+        // The rejected key must not reach the bloom filter. Key 5 is no
+        // false positive of a filter holding only key 10, so a set bit
+        // for it could only come from the rejected add.
+        let mut only_ten = BloomFilter::with_capacity(16, 10);
+        only_ten.insert(10);
+        assert!(!only_ten.may_contain(5));
+        let path = w.finish().unwrap();
+        let (cache, io) = fixtures();
+        let r = SsTableReader::open(&path, 1, cache, io).unwrap();
+        assert!(r.may_contain(10));
+        assert!(
+            !r.may_contain(5),
+            "rejected key leaked into the bloom filter"
+        );
+        assert_eq!(r.num_entries(), 1);
     }
 
     #[test]

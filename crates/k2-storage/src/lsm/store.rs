@@ -732,7 +732,7 @@ impl Writer {
         };
         let mut w = SsTableWriter::create(&path, entries.len(), self.config.bloom_bits_per_key)?;
         for (&k, v) in entries {
-            w.put(k, v)?;
+            w.add(k, v)?;
         }
         w.finish()?;
         sync_dir(&self.dir)?;

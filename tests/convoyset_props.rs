@@ -8,7 +8,7 @@
 //!   `ObjectSet` operations (and with a `BTreeSet` model) on arbitrary id
 //!   sets, with hash-consing actually consing.
 
-use k2hop::model::{Convoy, ConvoySet, ConvoySetTuning, ObjectSet, SetPool};
+use k2hop::model::{Convoy, ConvoySet, ObjectSet, SetPool};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -169,22 +169,17 @@ fn stress_stream() -> Vec<Convoy> {
     stream
 }
 
-/// Drives `stream` through a tuned `ConvoySet` against the quadratic
+/// Drives `stream` through a `ConvoySet` against the quadratic
 /// reference, asserting identical verdicts and final contents; returns
 /// the peak live-set size.
-fn stress_against_reference(stream: &[Convoy], tuning: ConvoySetTuning) -> usize {
-    let mut indexed = ConvoySet::with_tuning(tuning);
+fn stress_against_reference(stream: &[Convoy]) -> usize {
+    let mut indexed = ConvoySet::new();
     let mut reference = QuadraticConvoySet::default();
     let mut max_live = 0usize;
     for cv in stream {
         let a = indexed.update(cv.clone());
         let b = reference.update(cv.clone());
-        assert_eq!(
-            a,
-            b,
-            "verdict diverged at live size {} (tuning {tuning:?})",
-            indexed.len()
-        );
+        assert_eq!(a, b, "verdict diverged at live size {}", indexed.len());
         assert_eq!(indexed.len(), reference.convoys.len());
         max_live = max_live.max(indexed.len());
     }
@@ -197,55 +192,15 @@ fn stress_against_reference(stream: &[Convoy], tuning: ConvoySetTuning) -> usize
 /// incomparable convoys at once, so the indexed path's steady state —
 /// hundreds of live candidates, posting-list probes, lazy tombstone
 /// rebuilds — went unexercised; this pins it against the quadratic
-/// reference end to end, at the default tuning (index at 32, rebuild at
-/// 50% tombstones) *and* at the bench-suggested late-index tuning
-/// (128 / 75%, where the `convoyset` criterion bench shows the indexed
-/// path clearly winning), so the ROADMAP's crossover experiments can
-/// move the knobs without a semantics risk.
+/// reference end to end (index at `INDEX_THRESHOLD` live convoys,
+/// rebuild at `REBUILD_TOMBSTONE_PERCENT` tombstones).
 #[test]
-fn indexed_convoyset_matches_quadratic_at_both_tunings() {
+fn indexed_convoyset_matches_quadratic_past_index_threshold() {
     let stream = stress_stream();
-
-    let max_live = stress_against_reference(&stream, ConvoySetTuning::default());
+    let max_live = stress_against_reference(&stream);
     assert!(
         max_live > ConvoySet::INDEX_THRESHOLD,
         "stream never crossed INDEX_THRESHOLD (peak {max_live} live \
          convoys) — the indexed path was not exercised"
     );
-
-    let late = ConvoySetTuning::new(128, 75);
-    let max_live = stress_against_reference(&stream, late);
-    assert!(
-        max_live > late.index_threshold,
-        "stream never crossed the late threshold (peak {max_live}) — \
-         the 128-live indexed path was not exercised"
-    );
-
-    // Degenerate tunings are clamped, not crashes.
-    stress_against_reference(&stream[..64.min(stream.len())], ConvoySetTuning::new(0, 0));
-}
-
-/// The tuning changes *when* the index engages, never *what* is mined:
-/// end-to-end convoys are identical under any tuning.
-#[test]
-fn mining_results_are_tuning_invariant() {
-    use k2hop::core::{ConvoyMiner, K2Config, K2Hop};
-    use k2hop::datagen::ConvoyInjector;
-
-    let dataset = ConvoyInjector::new(80, 60)
-        .convoys(3, 4, 30)
-        .seed(9)
-        .generate();
-    let base = K2Config::new(3, 10, 1.0).unwrap();
-    let expect = ConvoyMiner::mine(&K2Hop::new(base), &dataset)
-        .unwrap()
-        .convoys;
-    assert!(!expect.is_empty());
-    for tuning in [ConvoySetTuning::new(1, 10), ConvoySetTuning::new(128, 75)] {
-        let cfg = base.with_convoyset_tuning(tuning);
-        let got = ConvoyMiner::mine(&K2Hop::new(cfg), &dataset)
-            .unwrap()
-            .convoys;
-        assert_eq!(got, expect, "tuning {tuning:?} changed mining output");
-    }
 }

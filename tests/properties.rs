@@ -2,8 +2,8 @@
 
 use k2hop::baselines::reference;
 use k2hop::cluster::{
-    dbscan, dbscan_reference_with, dbscan_with, dist2_filter_chunked, DbscanParams, GridIndex,
-    GridScratch, GridState,
+    dbscan, dbscan_reference_with, dbscan_with, dist2_filter_chunked, DbscanParams, GridScratch,
+    GridState,
 };
 use k2hop::core::{ConvoyMiner, K2Config, K2Hop};
 use k2hop::model::{Dataset, ObjPos, ObjectSet, Point, TimeInterval};
@@ -262,8 +262,10 @@ proptest! {
         prop_assert_eq!(dbscan(&points, params), brute_force_dbscan(&points, params));
     }
 
-    /// The CSR and HashMap grid layouts answer every neighbourhood query
-    /// identically (the tentpole's layout-equivalence guarantee).
+    /// The grid's CSR and sparse (`HashMap`) layouts both answer every
+    /// neighbourhood query exactly: the grid over the points (CSR), and
+    /// over the same points plus one non-finite point (no cell, so the
+    /// sparse fallback), each against a brute-force scan.
     #[test]
     fn csr_and_sparse_grids_agree(
         coords in proptest::collection::vec((-40i32..40, -40i32..40), 1..60),
@@ -275,15 +277,23 @@ proptest! {
             .enumerate()
             .map(|(i, &(x, y))| ObjPos::new(i as u32, x as f64 * 0.5, y as f64 * 0.5))
             .collect();
-        let csr = GridIndex::build(&points, eps);
-        let sparse = GridIndex::build_sparse(&points, eps);
+        let mut with_nan = points.clone();
+        with_nan.push(ObjPos::new(u32::MAX, f64::NAN, 0.0));
+        let (mut csr, mut sparse) = (GridState::new(), GridState::new());
+        csr.update(&points, eps);
+        sparse.update(&with_nan, eps);
+        prop_assert!(csr.is_csr() && !sparse.is_csr());
         for idx in 0..points.len() {
             let (mut a, mut b) = (Vec::new(), Vec::new());
             csr.neighbours(&points, idx, eps * eps, &mut a);
-            sparse.neighbours(&points, idx, eps * eps, &mut b);
+            sparse.neighbours(&with_nan, idx, eps * eps, &mut b);
             a.sort_unstable();
             b.sort_unstable();
-            prop_assert_eq!(a, b, "idx {} eps {}", idx, eps);
+            let want: Vec<u32> = (0..points.len() as u32)
+                .filter(|&j| points[j as usize].dist2(&points[idx]) <= eps * eps)
+                .collect();
+            prop_assert_eq!(&a, &want, "csr idx {} eps {}", idx, eps);
+            prop_assert_eq!(&b, &want, "sparse idx {} eps {}", idx, eps);
         }
     }
 
@@ -338,7 +348,8 @@ proptest! {
                 points[i].y += dy as f64;
             }
             state.update(&points, eps);
-            let fresh = GridIndex::build(&points, eps);
+            let mut fresh = GridState::new();
+            fresh.update(&points, eps);
             let (mut got, mut want) = (Vec::new(), Vec::new());
             for idx in 0..points.len() {
                 got.clear();
